@@ -49,6 +49,8 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     kb = _load_kb(args.file)
     problem = build_problem(kb, bound=args.bound)
     if args.mode == "all":

@@ -37,11 +37,18 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
+from itertools import compress
 from time import perf_counter
 from typing import Iterator
 
 from .kb import KnowledgeBase
-from .worlds import FalsificationMatrix, build_partitions, iter_bits
+from .worlds import (
+    FalsificationMatrix,
+    build_partitions,
+    iter_bits,
+    selector,
+    world_signatures,
+)
 
 KappaVector = tuple[int, ...]
 
@@ -138,18 +145,17 @@ def build_problem(kb: KnowledgeBase, bound: int | None = None) -> CRProblem:
         bound = n
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    world_sigs = [0] * parts.num_worlds
-    for j, falsified in enumerate(parts.falsifying):
-        bit = 1 << j
-        for w in iter_bits(falsified):
-            world_sigs[w] |= bit
+    world_sigs = world_signatures(parts.falsifying, parts.num_atoms)
+    distinct = set(world_sigs)
     verifying_sigs = []
     falsifying_sigs = []
     degenerate = []
     for i in range(n):
-        drop = ~(1 << i)
-        vmasks = {world_sigs[w] & drop for w in iter_bits(parts.verifying[i])}
-        fmasks = {world_sigs[w] & drop for w in iter_bits(parts.falsifying[i])}
+        bit = 1 << i
+        verified = set(compress(world_sigs, selector(parts.verifying[i])))
+        vmasks = {s & ~bit for s in verified}
+        # A world falsifies rule i exactly when its signature holds bit i.
+        fmasks = {s & ~bit for s in distinct if s & bit}
         verifying_sigs.append(_minimal_signatures(vmasks))
         falsifying_sigs.append(_minimal_signatures(fmasks))
         if not vmasks:
@@ -158,7 +164,7 @@ def build_problem(kb: KnowledgeBase, bound: int | None = None) -> CRProblem:
         partitions=parts,
         bound=bound,
         domains=tuple((0, bound) for _ in range(n)),
-        world_sigs=tuple(world_sigs),
+        world_sigs=world_sigs,
         verifying_sigs=tuple(verifying_sigs),
         falsifying_sigs=tuple(falsifying_sigs),
         degenerate_rules=tuple(degenerate),

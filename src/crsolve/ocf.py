@@ -19,6 +19,8 @@ RankingFunction is immutable; all queries are pure and thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add
 
 from .csp import KappaVector
 from .kb import Conditional, Formula, KnowledgeBase
@@ -26,9 +28,9 @@ from .worlds import (
     build_partitions,
     formula_worlds,
     full_set,
-    iter_bits,
-    world_str,
-    world_str_compact,
+    selector,
+    signature_columns,
+    world_names,
 )
 
 
@@ -84,25 +86,36 @@ class RankingFunction:
     source: KappaVector
 
 
+def _subset_sums(values: KappaVector) -> list[int]:
+    # Entry s is the sum of values[k] over the set bits k of s.
+    sums = [0]
+    for x in values:
+        sums += [s + x for s in sums]
+    return sums
+
+
 def induced_ocf(kb: KnowledgeBase, v: KappaVector) -> RankingFunction:
     """Materialize the ranking induced by v: each world's rank is the sum
-    of v[i] over the rules it falsifies.  v need not be a solution."""
+    of v[i] over the rules it falsifies.  v need not be a solution, but its
+    components must be natural numbers."""
     parts = build_partitions(kb)
     if len(v) != parts.n:
         raise ValueError(f"vector has length {len(v)}, expected {parts.n}")
-    ranks = [0] * parts.num_worlds
-    for i, falsified in enumerate(parts.falsifying):
-        value = v[i]
-        if value:
-            for w in iter_bits(falsified):
-                ranks[w] += value
+    if v and min(v) < 0:
+        raise ValueError(f"vector has a negative component: {min(v)}")
+    # Byte w of column g holds the rules 8g..8g+7 that world w falsifies,
+    # so the rank of w sums one subset sum per column.
+    ranks = repeat(0, parts.num_worlds)
+    for g, column in enumerate(signature_columns(parts.falsifying, kb.m)):
+        sums = _subset_sums(v[8 * g : 8 * g + 8])
+        ranks = map(add, ranks, map(sums.__getitem__, column))
     return RankingFunction(tuple(ranks), kb, tuple(v))
 
 
 def _rank_of_set(r: RankingFunction, ws: int) -> Rank:
     if not ws:
         return INFINITY
-    return min(r.ranks[w] for w in iter_bits(ws))
+    return min(compress(r.ranks, selector(ws)))
 
 
 def rank_formula(r: RankingFunction, f: Formula) -> Rank:
@@ -136,23 +149,17 @@ def accepts(r: RankingFunction, c: Conditional) -> bool:
     return verified < falsified
 
 
-def table_order(r: RankingFunction) -> range:
-    """World indices in truth-table reading order (all-true world first)."""
-    return range(len(r.ranks) - 1, -1, -1)
-
-
 def render_table(r: RankingFunction) -> str:
-    """Two-column text table, one world per line in truth-table order."""
-    atoms = r.kb.atoms
-    rows = [(world_str(atoms, w), r.ranks[w]) for w in table_order(r)]
-    width = max(len(s) for s, _ in rows)
-    return "\n".join(f"{s:<{width}}  {rank}" for s, rank in rows) + "\n"
+    """Two-column text table, one world per line in truth-table order
+    (all-true world first)."""
+    names = world_names(r.kb.atoms, " ")
+    row = f"{{:<{max(map(len, names))}}}  {{}}\n".format
+    return "".join(map(row, reversed(names), reversed(r.ranks)))
 
 
 def ocf_records(r: RankingFunction) -> list[dict]:
     """JSON-ready records ``{"world": ..., "rank": ...}`` in table order."""
-    atoms = r.kb.atoms
+    names = world_names(r.kb.atoms, "")
     return [
-        {"world": world_str_compact(atoms, w), "rank": r.ranks[w]}
-        for w in table_order(r)
+        {"world": s, "rank": rank} for s, rank in zip(reversed(names), reversed(r.ranks))
     ]

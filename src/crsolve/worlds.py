@@ -6,15 +6,22 @@ significant bit and descending index order is conventional truth-table
 reading order (the all-true world first).
 
 Sets of worlds are plain ints used as bitsets: bit w is set iff world w is
-in the set.  Everything here is pure and immutable once built.
+in the set.  Every pass over the members of a set starts from its binary
+digits translated to one byte per world (``selector``,
+``signature_columns``): time linear in 2**m, spent in C (``bin`` and
+``bytes.translate``), never in a Python loop over the bits of a 2**m-bit
+int.
+Everything here is pure and immutable once built.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from itertools import compress, count, product
+from typing import Iterator, Sequence
 
 from .kb import Atom, Conditional, Formula, KnowledgeBase, Term
 
@@ -38,12 +45,57 @@ def full_set(m: int) -> WorldSet:
     return (1 << (1 << m)) - 1
 
 
+# Translations of bin() digits to bytes: 0/1 for selectors, and 0/(1 << k)
+# for bit k of the bytes of signature columns.
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_OF_BYTE = tuple(bytes.maketrans(b"01", bytes((0, 1 << k))) for k in range(8))
+
+
+def selector(bits: int) -> bytes:
+    """One byte per position, 1 where ``bits`` has a set bit and 0 where it
+    has not, lowest position first, up to the highest set bit (``b"\\x00"``
+    for 0).  Feed it to ``itertools.compress`` to pick the entries of a
+    per-world table that belong to a world set, in time linear in 2**m."""
+    # bin(bits)[:1:-1] is the binary digits, least significant first.
+    return bin(bits)[:1:-1].encode().translate(_SELECT)
+
+
 def iter_bits(bits: int) -> Iterator[int]:
     """Yield the positions of set bits, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+    return compress(count(), selector(bits))
+
+
+def signature_columns(sets: Sequence[WorldSet], m: int) -> list[bytes]:
+    """Membership of the 2**m worlds in ``sets``, eight sets to a column:
+    bit k of byte w of column g is set iff world w is in sets[8 * g + k].
+
+    No Python code runs per world: each set's binary digits (most
+    significant first, as ``bin`` writes them) are translated to bytes 0 or
+    1 << k and read as a big-endian int, so world w lands in byte w from
+    the low end; the eight ints of a group are OR-ed together.
+    """
+    n_worlds = world_count(m)
+    columns = []
+    for group in range(0, len(sets), 8):
+        column = 0
+        for k, ws in enumerate(sets[group : group + 8]):
+            column |= int.from_bytes(bin(ws)[2:].encode().translate(_BIT_OF_BYTE[k]), "big")
+        columns.append(column.to_bytes(n_worlds, "little"))
+    return columns
+
+
+def world_signatures(sets: Sequence[WorldSet], m: int) -> tuple[int, ...]:
+    """Per world w of 2**m, the bitmask of the indices j with w in sets[j],
+    for at most 64 sets.  The signature columns are interleaved into an
+    array of 1, 2, 4 or 8 bytes per world and read back as native ints."""
+    columns = signature_columns(sets, m)
+    width = 1
+    while width < len(columns):
+        width *= 2
+    table = bytearray(world_count(m) * width)
+    for g, column in enumerate(columns):
+        table[(g if sys.byteorder == "little" else width - 1 - g) :: width] = column
+    return tuple(memoryview(table).cast("BHIQ"[width.bit_length() - 1]))
 
 
 @lru_cache(maxsize=None)
@@ -80,10 +132,11 @@ def term_worlds(t: Term) -> WorldSet:
         return 0
     m = t.width
     ws = full_set(m)
-    for k in iter_bits(t.pos):
-        ws &= _bit_column(m, k)
-    for k in iter_bits(t.neg):
-        ws &= full_set(m) ^ _bit_column(m, k)
+    for k in range((t.pos | t.neg).bit_length()):
+        if (t.pos >> k) & 1:
+            ws &= _bit_column(m, k)
+        elif (t.neg >> k) & 1:
+            ws &= ~_bit_column(m, k)
     return ws
 
 
@@ -155,3 +208,20 @@ def world_str_compact(atoms: tuple[Atom, ...], w: int) -> str:
     return "".join(
         a.name if w & (1 << (m - a.index)) else "-" + a.name for a in atoms
     )
+
+
+def _literal_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
+    # Indexed by the worlds over just these atoms, first atom most significant.
+    return [sep.join(t) for t in product(*(("-" + a.name, a.name) for a in atoms))]
+
+
+def world_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
+    """Every world's label, indexed by world: ``world_str`` for sep " ",
+    ``world_str_compact`` for sep "".  Each label is one concatenation of
+    two entries from tables over the high and the low half of the atoms."""
+    half = len(atoms) // 2
+    low = _literal_names(atoms[half:], sep)
+    if not half:
+        return low
+    high = _literal_names(atoms[:half], sep)
+    return [h + sep + lo for h in high for lo in low]

@@ -12,7 +12,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from crsolve import Conditional, Formula, KnowledgeBase, parse_kb
+from crsolve import (
+    Conditional,
+    Formula,
+    KnowledgeBase,
+    RankingFunction,
+    parse_kb,
+    world_str,
+    world_str_compact,
+)
 
 BIRDS_TEXT = """\
 # birds fly, birds are animals, flying birds are animals
@@ -151,6 +159,34 @@ def induced_ranks_ref(kb: KnowledgeBase, v: tuple[int, ...]) -> list[int]:
     for w in range(2**kb.m):
         ranks.append(sum(v[i] for i in range(kb.n) if w in set(falsifying[i])))
     return ranks
+
+
+def rank_at_ref(kb: KnowledgeBase, v: tuple[int, ...], w: int) -> int:
+    """Rank of one world: v summed over the rules it falsifies, evaluated
+    at that world alone, so it stays cheap at 20 atoms."""
+    return sum(v[i] for i, c in enumerate(kb.conditionals) if indicator_ref(c, kb, w) == "f")
+
+
+def bits_ref(x: int) -> list[int]:
+    """Positions of the set bits of x, ascending, by testing each bit of
+    each byte of its little-endian encoding."""
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    return [8 * i + b for i, byte in enumerate(data) for b in range(8) if (byte >> b) & 1]
+
+
+def render_table_ref(r: RankingFunction) -> str:
+    """The show-ocf table built world by world with ``world_str``."""
+    rows = [(world_str(r.kb.atoms, w), r.ranks[w]) for w in range(len(r.ranks) - 1, -1, -1)]
+    width = max(len(s) for s, _ in rows)
+    return "\n".join(f"{s:<{width}}  {rank}" for s, rank in rows) + "\n"
+
+
+def ocf_records_ref(r: RankingFunction) -> list[dict]:
+    """The show-ocf JSON records built world by world with ``world_str_compact``."""
+    return [
+        {"world": world_str_compact(r.kb.atoms, w), "rank": r.ranks[w]}
+        for w in range(len(r.ranks) - 1, -1, -1)
+    ]
 
 
 def random_formula_text(rng: random.Random, names: list[str]) -> str:

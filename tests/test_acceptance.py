@@ -34,6 +34,7 @@ from tests.helpers import (
     non_dominated_ref,
     penguins_kb,
     random_kb_text,
+    rank_at_ref,
 )
 
 
@@ -217,3 +218,31 @@ def test_criterion_9_benchmark_scale(tmp_path):
     )
     ok = elapsed < 120.0 and not records[0].timed_out and well_formed
     assert report(9, f"kb(5,9) min-all completes in {elapsed:.2f}s (<120s) with well-formed CSV", ok)
+
+
+# 20 atoms, the documented limit.  Rule 2 makes flying penguin-birds more
+# surprising than non-flying birds, so the unique minimum is (1, 2).
+TWENTY_ATOMS_TEXT = (
+    "vars: " + ", ".join(f"x{i}" for i in range(1, 21)) + "\n"
+    "rule: (x13 | x7)\n"
+    "rule: (!x13 | x19, x7)\n"
+)
+
+
+def test_criterion_10_twenty_atoms():
+    kb = parse_kb(TWENTY_ATOMS_TEXT)
+    start = perf_counter()
+    minima = all_min_sum(build_problem(kb))
+    ranking = induced_ocf(kb, minima.vectors[0])
+    ranks = acceptance_ranks(ranking, parse_conditional("(!x13 | x19, x7)", kb.atoms))
+    elapsed = perf_counter() - start
+    rng = random.Random(20)
+    sample = [0, 2**20 - 1] + rng.sample(range(2**20), 300)
+    agree = all(ranking.ranks[w] == rank_at_ref(kb, minima.vectors[0], w) for w in sample)
+    ok = minima.vectors == ((1, 2),) and ranks == (1, 2) and agree and elapsed < 2.0
+    assert report(
+        10,
+        f"20-atom KB compiles, solves min-all and answers a query in {elapsed:.2f}s (<2s); "
+        f"ranks agree with the pointwise oracle on {len(sample)} worlds",
+        ok,
+    )

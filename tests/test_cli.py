@@ -92,6 +92,13 @@ class TestSolve:
         assert main(["solve", "--mode", "min", str(path)]) == 1
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["all", "min", "min-all", "pareto", "ocf-min"])
+    def test_negative_limit_rejected(self, mode, birds_file, capsys):
+        assert main(["solve", "--mode", mode, "--limit", "-1", birds_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit must be nonnegative" in captured.err
+
     def test_determinism(self, penguins_file, capsys):
         main(["solve", "--mode", "min-all", "--json", penguins_file])
         first = capsys.readouterr().out
@@ -130,6 +137,13 @@ class TestQuery:
         assert out == ["REJECTED", "verifying rank: inf", "falsifying rank: inf"]
 
 
+    def test_negative_vector_component(self, penguins_file, capsys):
+        assert main(["query", "--vector=-5,0,0,0,0", "(f | p)", penguins_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative component" in captured.err
+
+
 class TestShowOcf:
     def test_table_matches_reference_ranking(self, penguins_file, capsys):
         assert main(["show-ocf", "--vector", "1,2,2,1,1", penguins_file]) == 0
@@ -149,6 +163,12 @@ class TestShowOcf:
     def test_wrong_length_vector(self, penguins_file, capsys):
         assert main(["show-ocf", "--vector", "1,2", penguins_file]) == 2
 
+    def test_negative_vector_component(self, penguins_file, capsys):
+        assert main(["show-ocf", "--vector=-5,0,0,0,0", penguins_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative component" in captured.err
+
 
 class TestCheck:
     def test_valid(self, penguins_file, capsys):
@@ -157,6 +177,10 @@ class TestCheck:
 
     def test_invalid(self, penguins_file, capsys):
         assert main(["check", "--vector", "0,0,0,0,0", penguins_file]) == 1
+        assert capsys.readouterr().out == "invalid\n"
+
+    def test_negative_vector_component_is_invalid(self, penguins_file, capsys):
+        assert main(["check", "--vector=-5,0,0,0,0", penguins_file]) == 1
         assert capsys.readouterr().out == "invalid\n"
 
     def test_bad_vector_component(self, penguins_file, capsys):

@@ -52,6 +52,10 @@ class TestInducedOcf:
         with pytest.raises(ValueError):
             induced_ocf(penguins, (1, 2, 2, 1))
 
+    def test_negative_component(self, penguins):
+        with pytest.raises(ValueError, match="negative"):
+            induced_ocf(penguins, (-5, 0, 0, 0, 0))
+
 
 class TestRankFormula:
     def test_reference_query_ranks(self, penguins, penguin_ocf):

@@ -1,7 +1,9 @@
 """Structural invariants checked over randomly generated knowledge bases."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crsolve import (
@@ -15,15 +17,26 @@ from crsolve import (
     formula_worlds,
     indicator,
     induced_ocf,
+    ocf_records,
     parse_formula,
     parse_kb,
     pareto_min,
     propagate,
     render_kb,
+    render_table,
 )
-from crsolve.worlds import IndicatorValue, full_set
+from crsolve.worlds import IndicatorValue, full_set, iter_bits, selector, world_signatures
 
-from tests.helpers import brute_solutions, check_ref, compile_ref, indicator_ref
+from tests.helpers import (
+    bits_ref,
+    brute_solutions,
+    check_ref,
+    compile_ref,
+    indicator_ref,
+    induced_ranks_ref,
+    ocf_records_ref,
+    render_table_ref,
+)
 
 NAMES = ["a", "b", "c", "d"]
 
@@ -156,3 +169,57 @@ def test_solutions_induce_accepting_normalized_rankings(text):
         ranking = induced_ocf(kb, v)
         assert min(ranking.ranks) == 0
         assert all(accepts(ranking, c) for c in kb.conditionals)
+
+
+# World sets of up to 2**20 worlds: empty, one top bit, sparse, dense.
+MAX_WORLDS = 2**20
+world_sets = st.one_of(
+    st.just(0),
+    st.integers(0, MAX_WORLDS - 1).map(lambda k: 1 << k),
+    st.sets(st.integers(0, MAX_WORLDS - 1), max_size=40).map(lambda ks: sum(1 << k for k in ks)),
+    st.tuples(
+        st.integers(0, 20).flatmap(lambda e: st.integers(1, 2**e)), st.integers(0, 2**32)
+    ).map(lambda size_seed: random.Random(size_seed[1]).getrandbits(size_seed[0])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(world_sets)
+@example(1 << (MAX_WORLDS - 1))
+@example((1 << MAX_WORLDS) - 1)
+def test_scan_matches_per_bit_test(x):
+    positions = bits_ref(x)
+    assert list(iter_bits(x)) == positions
+    sel = selector(x)
+    assert len(sel) == max(1, x.bit_length())
+    assert set(sel) <= {0, 1}
+    assert [w for w, flag in enumerate(sel) if flag] == positions
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.integers(0, 2 ** (2**m) - 1), max_size=64))
+    )
+)
+def test_world_signatures_match_per_bit_test(args):
+    m, sets = args
+    expected = [
+        sum(1 << j for j, ws in enumerate(sets) if (ws >> w) & 1) for w in range(2**m)
+    ]
+    assert world_signatures(sets, m) == tuple(expected)
+
+
+@given(kb_texts(), st.lists(st.integers(0, 12), min_size=3, max_size=3))
+def test_tables_match_per_world_rendering(text, values):
+    kb = parse_kb(text)
+    ranking = induced_ocf(kb, tuple(values[: kb.n]))
+    assert render_table(ranking) == render_table_ref(ranking)
+    assert ocf_records(ranking) == ocf_records_ref(ranking)
+
+
+@settings(max_examples=30)
+@given(kb_texts(max_rules=20), st.lists(st.integers(0, 9), min_size=20, max_size=20))
+def test_induced_ranks_match_reference_across_signature_columns(text, values):
+    kb = parse_kb(text)
+    v = tuple(values[: kb.n])
+    assert list(induced_ocf(kb, v).ranks) == induced_ranks_ref(kb, v)
