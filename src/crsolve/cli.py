@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when no solution exists within the search box
 (or a checked vector is not a solution), 2 on usage, file, or syntax
-errors.  Results go to standard output, diagnostics to standard error.
+errors, 3 when ``solve --timeout`` expires.  Results go to standard output,
+diagnostics to standard error.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 from .bench import SyntheticSpec, run_bench, write_csv
 from .csp import (
     InfeasibleError,
     SolutionOrdering,
     SolutionSet,
+    SolveTimeout,
     all_min_sum,
     build_problem,
     check_solution,
@@ -51,19 +54,24 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
+    deadline = None
+    if args.timeout is not None:
+        if not args.timeout > 0:
+            raise ValueError(f"--timeout must be positive, got {args.timeout}")
+        deadline = perf_counter() + args.timeout
     kb = _load_kb(args.file)
     problem = build_problem(kb, bound=args.bound)
     if args.mode == "all":
-        result = enumerate_solutions(problem, limit=args.limit)
+        result = enumerate_solutions(problem, limit=args.limit, deadline=deadline)
     elif args.mode == "min":
-        minimal, vector = solve_min_sum(problem)
+        minimal, vector = solve_min_sum(problem, deadline=deadline)
         result = SolutionSet(SolutionOrdering.SUM, problem.bound, (vector,), minimal_sum=minimal)
     elif args.mode == "min-all":
-        result = all_min_sum(problem)
+        result = all_min_sum(problem, deadline=deadline)
     elif args.mode == "pareto":
-        result = pareto_min(problem)
+        result = pareto_min(problem, deadline=deadline)
     else:
-        result = ocf_min(problem)
+        result = ocf_min(problem, deadline=deadline)
     if args.limit is not None and args.mode != "all":
         result = dataclasses.replace(result, vectors=result.vectors[: args.limit])
     if args.json:
@@ -140,6 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", required=True, choices=["all", "min", "min-all", "pareto", "ocf-min"])
     solve.add_argument("--limit", type=int, default=None, help="truncate the listing")
     solve.add_argument("--bound", type=int, default=None, help="override the per-variable upper bound")
+    solve.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS", help="stop the search after SECONDS (exit 3)"
+    )
     solve.add_argument("--json", action="store_true")
     solve.add_argument("file")
     solve.set_defaults(func=_cmd_solve)
@@ -188,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"error: infeasible_within_bound: {exc}", file=sys.stderr)
         return 1
+    except SolveTimeout:
+        print("error: timed out", file=sys.stderr)
+        return 3
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: file not found", file=sys.stderr)
         return 2

@@ -28,6 +28,23 @@ attained there).  Solvers run bounds propagation at every search node:
 which is monotone and terminates; values are labelled in rule order,
 ascending, so solutions stream in lexicographic order.
 
+Minimal solutions without enumerating the box.  If v <= u componentwise
+and v != u, then v precedes u lexicographically, so the search meets every
+dominator of a solution before the solution itself: a solution is
+Pareto-minimal exactly when no frontier vector found before it is <= it.
+The assigned prefix plus the lower bounds of the remaining variables bound
+every completion of a node from below, so a node whose bounds are >= some
+frontier vector is cut with its whole subtree.
+
+The induced-ranking order follows from the frontier.  If v <= u then
+kappa_v <= kappa_u pointwise, with equality only when v and u differ just
+on rules that no world falsifies: such a rule occurs in no signature, so
+its component is free in the box and changes no rank.  Every solution lies
+above some frontier vector, hence the non-dominated rankings over all
+solutions are exactly the non-dominated rankings over the frontier, and
+the vectors inducing them are the surviving frontier vectors with their
+free components ranging over the box.
+
 A CRProblem is immutable after build; each solve call owns private search
 state, so concurrent solves on one problem are safe.
 """
@@ -37,7 +54,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
+from operator import le
 from time import perf_counter
 from typing import Iterator
 
@@ -249,14 +267,20 @@ def propagate(p: CRProblem) -> CRProblem:
     return dataclasses.replace(p, domains=tuple(zip(lo, hi)))
 
 
+def _dominated(frontier: list[KappaVector], lo: list[int]) -> bool:
+    """True when some frontier vector is <= lo in every component."""
+    return any(all(map(le, f, lo)) for f in frontier)
+
+
 def _search(
     p: CRProblem,
     sum_target: int | None = None,
     deadline: float | None = None,
+    pareto: bool = False,
 ) -> Iterator[KappaVector]:
     """Depth-first labelling in rule order, values ascending; yields every
-    solution in the box (optionally restricted to a fixed component sum)
-    in lexicographic order."""
+    solution in the box (optionally restricted to a fixed component sum,
+    or to the componentwise non-dominated ones) in lexicographic order."""
     vsigs = p.verifying_sigs
     fsigs = p.falsifying_sigs
     n = p.n
@@ -264,13 +288,19 @@ def _search(
     hi = [d[1] for d in p.domains]
     if not _propagate_box(lo, hi, vsigs, fsigs):
         return
+    # With ``pareto``, the solutions yielded so far: lexicographic order
+    # puts every dominator first, so this is the frontier found so far.
+    frontier: list[KappaVector] = []
 
     def rec(idx: int, lo: list[int], hi: list[int], partial: int) -> Iterator[KappaVector]:
         if deadline is not None and perf_counter() > deadline:
             raise SolveTimeout
         if idx == n:
             if sum_target is None or partial == sum_target:
-                yield tuple(lo)
+                v = tuple(lo)
+                if pareto:
+                    frontier.append(v)
+                yield v
             return
         first, last = lo[idx], hi[idx]
         if sum_target is not None:
@@ -282,8 +312,14 @@ def _search(
             lo2 = lo.copy()
             hi2 = hi.copy()
             lo2[idx] = hi2[idx] = val
-            if _propagate_box(lo2, hi2, vsigs, fsigs):
-                yield from rec(idx + 1, lo2, hi2, partial + val)
+            # A larger value only raises the bounds, so a cut here is final.
+            if pareto and _dominated(frontier, lo2):
+                break
+            if not _propagate_box(lo2, hi2, vsigs, fsigs):
+                continue
+            if pareto and _dominated(frontier, lo2):
+                continue
+            yield from rec(idx + 1, lo2, hi2, partial + val)
 
     yield from rec(0, lo, hi, 0)
 
@@ -291,7 +327,10 @@ def _search(
 def enumerate_solutions(
     p: CRProblem, limit: int | None = None, deadline: float | None = None
 ) -> SolutionSet:
-    """All solutions in the box, lexicographically; ``limit`` truncates."""
+    """All solutions in the box, lexicographically; ``limit`` truncates and
+    must be nonnegative."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     vectors: list[KappaVector] = []
     for v in _search(p, deadline=deadline):
         if limit is not None and len(vectors) >= limit:
@@ -371,28 +410,33 @@ def pareto_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     """Solutions not componentwise-dominated by any other solution in the
     box (a partial order: the result can be larger than the sum-minimal
     set, and every sum-minimal solution is in it)."""
-    vectors = list(_search(p, deadline=deadline))
+    vectors = tuple(_search(p, deadline=deadline, pareto=True))
     if not vectors:
         raise InfeasibleError(p.bound, p.degenerate_rules)
-    return SolutionSet(
-        SolutionOrdering.COMPONENTWISE, p.bound, tuple(_non_dominated(vectors))
-    )
+    return SolutionSet(SolutionOrdering.COMPONENTWISE, p.bound, vectors)
 
 
 def ocf_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     """Solutions whose induced ranking function is not pointwise-dominated
     by another solution's (dominance requires the two rankings to differ
     somewhere; vectors inducing identical rankings are all retained)."""
-    vectors = list(_search(p, deadline=deadline))
-    if not vectors:
-        raise InfeasibleError(p.bound, p.degenerate_rules)
+    frontier = pareto_min(p, deadline=deadline).vectors
     sig_indices = [tuple(iter_bits(sig)) for sig in sorted(set(p.world_sigs))]
     by_ranking: dict[tuple[int, ...], list[KappaVector]] = {}
-    for v in vectors:
+    for v in frontier:
         ranking = tuple(sum(v[j] for j in sig) for sig in sig_indices)
         by_ranking.setdefault(ranking, []).append(v)
-    surviving = set(_non_dominated(list(by_ranking.keys())))
+    surviving = _non_dominated(list(by_ranking))
+    # A rule that no world falsifies has no falsifying signature; its
+    # component takes every value of its box range without changing a rank.
+    free = [
+        None if fs else range(lo, hi + 1)
+        for (lo, hi), fs in zip(p.domains, p.falsifying_sigs)
+    ]
     kept = sorted(
-        v for ranking, vs in by_ranking.items() if ranking in surviving for v in vs
+        expanded
+        for ranking in surviving
+        for v in by_ranking[ranking]
+        for expanded in product(*((x,) if r is None else r for r, x in zip(free, v)))
     )
     return SolutionSet(SolutionOrdering.INDUCED_OCF, p.bound, tuple(kept))

@@ -161,6 +161,19 @@ def induced_ranks_ref(kb: KnowledgeBase, v: tuple[int, ...]) -> list[int]:
     return ranks
 
 
+def ocf_min_ref(kb: KnowledgeBase, bound: int | None = None) -> list[tuple[int, ...]]:
+    """Box solutions whose induced ranking is not pointwise dominated by the
+    ranking of another box solution; lexicographic."""
+    solutions = brute_solutions(kb, bound)
+    ranks = {v: tuple(induced_ranks_ref(kb, v)) for v in solutions}
+    distinct = set(ranks.values())
+
+    def dominated(r: tuple[int, ...]) -> bool:
+        return any(s != r and all(a <= b for a, b in zip(s, r)) for s in distinct)
+
+    return [v for v in solutions if not dominated(ranks[v])]
+
+
 def rank_at_ref(kb: KnowledgeBase, v: tuple[int, ...], w: int) -> int:
     """Rank of one world: v summed over the rules it falsifies, evaluated
     at that world alone, so it stays cheap at 20 atoms."""

@@ -17,6 +17,7 @@ from crsolve import (
     enumerate_solutions,
     gen_synthetic,
     induced_ocf,
+    ocf_min,
     parse_conditional,
     parse_kb,
     pareto_min,
@@ -245,4 +246,26 @@ def test_criterion_10_twenty_atoms():
         f"20-atom KB compiles, solves min-all and answers a query in {elapsed:.2f}s (<2s); "
         f"ranks agree with the pointwise oracle on {len(sample)} worlds",
         ok,
+    )
+
+
+def test_criterion_11_minimal_solutions_without_the_box():
+    timings = {}
+    sound = True
+    for n in (5, 6):
+        problem = build_problem(gen_synthetic(n, 0))
+        for solver in (pareto_min, ocf_min):
+            start = perf_counter()
+            result = solver(problem)
+            timings[(n, solver.__name__)] = perf_counter() - start
+            sound = sound and bool(result.vectors)
+            sound = sound and all(check_solution(problem, v) for v in result.vectors)
+        sound = sound and set(all_min_sum(problem).vectors) <= set(pareto_min(problem).vectors)
+    fast = timings[(5, "pareto_min")] < 0.5 and timings[(5, "ocf_min")] < 0.5
+    assert report(
+        11,
+        f"kb(5,9) pareto/ocf-min in {timings[(5, 'pareto_min')]:.3f}s/{timings[(5, 'ocf_min')]:.3f}s "
+        f"(<0.5s each), kb(6,11) in {timings[(6, 'pareto_min')]:.3f}s/{timings[(6, 'ocf_min')]:.3f}s; "
+        "every vector checks and the sum minima are Pareto-minimal",
+        fast and sound,
     )

@@ -105,6 +105,24 @@ class TestSolve:
         main(["solve", "--mode", "min-all", "--json", penguins_file])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("mode", ["all", "min", "min-all", "pareto", "ocf-min"])
+    def test_expired_timeout_exits_3(self, mode, penguins_file, capsys):
+        assert main(["solve", "--mode", mode, "--timeout", "1e-9", penguins_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: timed out\n"
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_nonpositive_timeout_rejected(self, timeout, birds_file, capsys):
+        assert main(["solve", "--mode", "pareto", "--timeout", timeout, birds_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--timeout must be positive" in captured.err
+
+    def test_generous_timeout_keeps_output(self, birds_file, capsys):
+        assert main(["solve", "--mode", "pareto", "--timeout", "60", birds_file]) == 0
+        assert capsys.readouterr().out == "1 0 1\n1 1 0\n"
+
 
 class TestQuery:
     def test_accepted_with_min_vector(self, penguins_file, capsys):

@@ -1,11 +1,13 @@
 import itertools
 import random
+from time import perf_counter
 
 import pytest
 
 from crsolve import (
     InfeasibleError,
     SolutionOrdering,
+    SolveTimeout,
     all_min_sum,
     build_problem,
     check_solution,
@@ -18,7 +20,15 @@ from crsolve import (
     solve_min_sum,
 )
 
-from tests.helpers import brute_solutions, check_ref, compile_ref, non_dominated_ref, random_kb_text
+from tests.helpers import (
+    BIRDS_TEXT,
+    brute_solutions,
+    check_ref,
+    compile_ref,
+    non_dominated_ref,
+    ocf_min_ref,
+    random_kb_text,
+)
 
 CONTRADICTORY_TEXT = "vars: a\nrule: (a | top)\nrule: (!a | top)\n"
 DEGENERATE_TEXT = "vars: a\nrule: (a | bot)\n"
@@ -182,6 +192,10 @@ class TestEnumerate:
     def test_matches_brute_force(self, birds, birds_problem):
         assert list(enumerate_solutions(birds_problem).vectors) == brute_solutions(birds)
 
+    def test_negative_limit_rejected(self, birds_problem):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            enumerate_solutions(birds_problem, limit=-1)
+
 
 class TestSolveMinSum:
     def test_birds(self, birds_problem):
@@ -305,3 +319,45 @@ class TestOracleEquivalence:
         first = enumerate_solutions(build_problem(penguins), limit=20).vectors
         second = enumerate_solutions(build_problem(penguins), limit=20).vectors
         assert first == second
+
+
+class TestDeadline:
+    @pytest.mark.parametrize(
+        "solver", [enumerate_solutions, solve_min_sum, all_min_sum, pareto_min, ocf_min]
+    )
+    def test_expired_deadline_times_out(self, solver, penguins_problem):
+        with pytest.raises(SolveTimeout):
+            solver(penguins_problem, deadline=perf_counter() - 1.0)
+
+
+class TestFrontierOracle:
+    # Extra rules appended to random KBs: a rule no world falsifies (its
+    # component is free in the box) and a degenerate one (nothing verifies
+    # it, so the box is empty).
+    EXTRAS = ("", "rule: (a | a)\n", "rule: (a | a)\nrule: (a ; !a | top)\n", "rule: (a | bot)\n")
+
+    def test_pareto_and_ocf_match_brute_force(self):
+        # Random KBs seldom hold a Pareto-minimal vector whose ranking is
+        # dominated, so the birds KB, which does, is checked too: alone and
+        # with a free rule.
+        rng = random.Random(4099)
+        texts = [random_kb_text(rng, max_atoms=3, max_rules=2) for _ in range(48)]
+        texts += [BIRDS_TEXT] * 2
+        free_nonempty = 0
+        for index, text in enumerate(texts):
+            text += self.EXTRAS[index % 4]
+            kb = parse_kb(text)
+            for bound in (max(kb.n - 1, 0), kb.n + 1):
+                problem = build_problem(kb, bound=bound)
+                oracle = brute_solutions(kb, bound)
+                if not oracle:
+                    with pytest.raises(InfeasibleError):
+                        pareto_min(problem)
+                    with pytest.raises(InfeasibleError):
+                        ocf_min(problem)
+                    continue
+                assert list(pareto_min(problem).vectors) == non_dominated_ref(oracle), text
+                assert list(ocf_min(problem).vectors) == ocf_min_ref(kb, bound), text
+                if index % 4 in (1, 2):
+                    free_nonempty += 1
+        assert free_nonempty >= 10
