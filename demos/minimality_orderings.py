@@ -18,23 +18,21 @@ from crsolve import (
     ocf_min,
     parse_kb,
     pareto_min,
-    propagate,
     world_str,
 )
 
 kb_path = Path(__file__).resolve().parent.parent / "kbs" / "birds.kb"
 kb = parse_kb(kb_path.read_text())
 problem = build_problem(kb)
+solutions = enumerate_solutions(problem)
 
-print("=== Propagation alone ===")
-tightened = propagate(problem)
-print(f"initial domains: {problem.domains}")
-print(f"after bounds propagation: {tightened.domains}")
+print("=== Rule 1 is never free ===")
+least = min(v[0] for v in solutions.vectors)
+print(f"least impact of rule 1 over all {len(solutions.vectors)} box solutions: {least}")
 print("(rule 1 can never have impact 0: some bird world must pay for not flying)")
 print()
 
 print("=== All solutions within the box ===")
-solutions = enumerate_solutions(problem)
 print(f"{len(solutions.vectors)} solutions; first five: {solutions.vectors[:5]}")
 print()
 

@@ -18,10 +18,8 @@ from .csp import (
     build_problem,
     check_solution,
     enumerate_solutions,
-    falsified_sum,
     ocf_min,
     pareto_min,
-    propagate,
     solve_min_sum,
 )
 from .kb import (
@@ -51,13 +49,10 @@ from .ocf import (
 )
 from .worlds import (
     FalsificationMatrix,
-    IndicatorValue,
     WorldSet,
     atom_worlds,
     build_partitions,
-    eval_term,
     formula_worlds,
-    indicator,
     world_str,
     world_str_compact,
 )
@@ -72,7 +67,6 @@ __all__ = [
     "FalsificationMatrix",
     "Formula",
     "INFINITY",
-    "IndicatorValue",
     "InfeasibleError",
     "KBSyntaxError",
     "KappaVector",
@@ -93,11 +87,8 @@ __all__ = [
     "build_problem",
     "check_solution",
     "enumerate_solutions",
-    "eval_term",
-    "falsified_sum",
     "formula_worlds",
     "gen_synthetic",
-    "indicator",
     "induced_ocf",
     "ocf_min",
     "ocf_records",
@@ -105,7 +96,6 @@ __all__ = [
     "parse_formula",
     "parse_kb",
     "pareto_min",
-    "propagate",
     "rank_conditional",
     "rank_formula",
     "render_formula",

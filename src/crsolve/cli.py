@@ -60,7 +60,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise ValueError(f"--timeout must be positive, got {args.timeout}")
         deadline = perf_counter() + args.timeout
     kb = _load_kb(args.file)
-    problem = build_problem(kb, bound=args.bound)
+    problem = build_problem(kb, bound=args.bound, deadline=deadline)
     if args.mode == "all":
         result = enumerate_solutions(problem, limit=args.limit, deadline=deadline)
     elif args.mode == "min":
@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--limit", type=int, default=None, help="truncate the listing")
     solve.add_argument("--bound", type=int, default=None, help="override the per-variable upper bound")
     solve.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS", help="stop the search after SECONDS (exit 3)"
+        "--timeout", type=float, default=None, metavar="SECONDS", help="give up after SECONDS (exit 3)"
     )
     solve.add_argument("--json", action="store_true")
     solve.add_argument("file")

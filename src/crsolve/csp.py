@@ -21,20 +21,28 @@ rules are reported as degenerate.
 Compilation: every world's falsified-rule set is collapsed into a bitmask
 signature, and for each constraint side only the subset-minimal signatures
 are kept (sums are monotone in the nonnegative variables, so minima are
-attained there).  Solvers run bounds propagation at every search node:
+attained there).
+
+One labelling engine serves every solver.  It runs bounds propagation at
+every search node:
 
     lo_i <- max(lo_i, 1 + min_sig(V_i, lo) - min_sig(F_i, hi))
 
 which is monotone and terminates; values are labelled in rule order,
-ascending, so solutions stream in lexicographic order.
+ascending, so solutions stream in lexicographic order.  The assigned
+prefix plus the lower bounds of the remaining variables bound every
+completion of a node from below, and each solver differs only in a cut
+on those bounds, which sees the solutions yielded so far: none for all
+solutions; sum(lo) >= best sum for one sum-minimal solution; sum(lo) >
+best sum for all of them, in one pass that keeps ties and restarts on a
+smaller sum; a frontier vector <= lo for the Pareto-minimal ones.
 
 Minimal solutions without enumerating the box.  If v <= u componentwise
 and v != u, then v precedes u lexicographically, so the search meets every
 dominator of a solution before the solution itself: a solution is
-Pareto-minimal exactly when no frontier vector found before it is <= it.
-The assigned prefix plus the lower bounds of the remaining variables bound
-every completion of a node from below, so a node whose bounds are >= some
-frontier vector is cut with its whole subtree.
+Pareto-minimal exactly when no frontier vector found before it is <= it,
+and a node whose bounds are >= some frontier vector is cut with its whole
+subtree.
 
 The induced-ranking order follows from the frontier.  If v <= u then
 kappa_v <= kappa_u pointwise, with equality only when v and u differ just
@@ -51,13 +59,12 @@ state, so concurrent solves on one problem are safe.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from itertools import compress, product
 from operator import le
 from time import perf_counter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .kb import KnowledgeBase
 from .worlds import (
@@ -125,11 +132,11 @@ class SolutionSet:
 
 @dataclass(frozen=True)
 class CRProblem:
-    """Compiled constraint problem: partitions, signatures, and domains."""
+    """Compiled constraint problem: partitions, signatures, and the box
+    [0, bound]^n."""
 
     partitions: FalsificationMatrix
     bound: int
-    domains: tuple[tuple[int, int], ...]
     world_sigs: tuple[int, ...]
     verifying_sigs: tuple[_SigSet, ...]
     falsifying_sigs: tuple[_SigSet, ...]
@@ -137,12 +144,7 @@ class CRProblem:
 
     @property
     def n(self) -> int:
-        return len(self.domains)
-
-    @property
-    def infeasible(self) -> bool:
-        """True once propagation has emptied some variable's domain."""
-        return any(lo > hi for lo, hi in self.domains)
+        return len(self.verifying_sigs)
 
 
 def _minimal_signatures(masks: set[int]) -> _SigSet:
@@ -154,9 +156,12 @@ def _minimal_signatures(masks: set[int]) -> _SigSet:
     return tuple(tuple(iter_bits(mask)) for mask in kept)
 
 
-def build_problem(kb: KnowledgeBase, bound: int | None = None) -> CRProblem:
+def build_problem(
+    kb: KnowledgeBase, bound: int | None = None, deadline: float | None = None
+) -> CRProblem:
     """Compile CR(R): world partitions, falsification signatures, and the
-    initial domain box [0, bound]^n (bound defaults to n)."""
+    box [0, bound]^n (bound defaults to n).  Raises SolveTimeout when the
+    ``perf_counter`` deadline passes between two rules."""
     parts = build_partitions(kb)
     n = parts.n
     if bound is None:
@@ -169,6 +174,8 @@ def build_problem(kb: KnowledgeBase, bound: int | None = None) -> CRProblem:
     falsifying_sigs = []
     degenerate = []
     for i in range(n):
+        if deadline is not None and perf_counter() > deadline:
+            raise SolveTimeout
         bit = 1 << i
         verified = set(compress(world_sigs, selector(parts.verifying[i])))
         vmasks = {s & ~bit for s in verified}
@@ -181,24 +188,11 @@ def build_problem(kb: KnowledgeBase, bound: int | None = None) -> CRProblem:
     return CRProblem(
         partitions=parts,
         bound=bound,
-        domains=tuple((0, bound) for _ in range(n)),
         world_sigs=world_sigs,
         verifying_sigs=tuple(verifying_sigs),
         falsifying_sigs=tuple(falsifying_sigs),
         degenerate_rules=tuple(degenerate),
     )
-
-
-def falsified_sum(p: CRProblem, i: int, w: int, v: KappaVector) -> int:
-    """Sum of v[j] over rules j != i (1-based ids) falsified at world w."""
-    if not 1 <= i <= p.n:
-        raise ValueError(f"rule id {i} out of range 1..{p.n}")
-    if not 0 <= w < p.partitions.num_worlds:
-        raise ValueError(f"world index {w} out of range")
-    if len(v) != p.n:
-        raise ValueError(f"vector has length {len(v)}, expected {p.n}")
-    mask = p.world_sigs[w] & ~(1 << (i - 1))
-    return sum(v[j] for j in iter_bits(mask))
 
 
 def _min_sig_sum(sigs: _SigSet, values) -> int:
@@ -252,21 +246,6 @@ def _propagate_box(lo: list[int], hi: list[int], vsigs, fsigs) -> bool:
     return True
 
 
-def propagate(p: CRProblem) -> CRProblem:
-    """Bounds-consistency fixpoint over the current domains.
-
-    Lower bounds only ever increase (idempotent); the result is marked
-    infeasible when a domain empties, and problems already marked stay
-    as they are.
-    """
-    if p.infeasible:
-        return p
-    lo = [d[0] for d in p.domains]
-    hi = [d[1] for d in p.domains]
-    _propagate_box(lo, hi, p.verifying_sigs, p.falsifying_sigs)
-    return dataclasses.replace(p, domains=tuple(zip(lo, hi)))
-
-
 def _dominated(frontier: list[KappaVector], lo: list[int]) -> bool:
     """True when some frontier vector is <= lo in every component."""
     return any(all(map(le, f, lo)) for f in frontier)
@@ -274,54 +253,41 @@ def _dominated(frontier: list[KappaVector], lo: list[int]) -> bool:
 
 def _search(
     p: CRProblem,
-    sum_target: int | None = None,
+    cut: Callable[[list[int]], bool] | None = None,
     deadline: float | None = None,
-    pareto: bool = False,
 ) -> Iterator[KappaVector]:
-    """Depth-first labelling in rule order, values ascending; yields every
-    solution in the box (optionally restricted to a fixed component sum,
-    or to the componentwise non-dominated ones) in lexicographic order."""
+    """Depth-first labelling in rule order, values ascending; yields the
+    box solutions in lexicographic order, skipping every node whose lower
+    bounds ``cut`` rejects.  The cut is asked again at each node, so it may
+    tighten as the caller consumes solutions."""
     vsigs = p.verifying_sigs
     fsigs = p.falsifying_sigs
-    n = p.n
-    lo = [d[0] for d in p.domains]
-    hi = [d[1] for d in p.domains]
+    n = len(vsigs)
+    lo = [0] * n
+    hi = [p.bound] * n
     if not _propagate_box(lo, hi, vsigs, fsigs):
         return
-    # With ``pareto``, the solutions yielded so far: lexicographic order
-    # puts every dominator first, so this is the frontier found so far.
-    frontier: list[KappaVector] = []
 
-    def rec(idx: int, lo: list[int], hi: list[int], partial: int) -> Iterator[KappaVector]:
+    def rec(idx: int, lo: list[int], hi: list[int]) -> Iterator[KappaVector]:
         if deadline is not None and perf_counter() > deadline:
             raise SolveTimeout
         if idx == n:
-            if sum_target is None or partial == sum_target:
-                v = tuple(lo)
-                if pareto:
-                    frontier.append(v)
-                yield v
+            yield tuple(lo)
             return
-        first, last = lo[idx], hi[idx]
-        if sum_target is not None:
-            rest_lo = sum(lo[idx + 1 :])
-            rest_hi = sum(hi[idx + 1 :])
-            first = max(first, sum_target - partial - rest_hi)
-            last = min(last, sum_target - partial - rest_lo)
-        for val in range(first, last + 1):
+        for val in range(lo[idx], hi[idx] + 1):
             lo2 = lo.copy()
             hi2 = hi.copy()
             lo2[idx] = hi2[idx] = val
             # A larger value only raises the bounds, so a cut here is final.
-            if pareto and _dominated(frontier, lo2):
+            if cut is not None and cut(lo2):
                 break
             if not _propagate_box(lo2, hi2, vsigs, fsigs):
                 continue
-            if pareto and _dominated(frontier, lo2):
+            if cut is not None and cut(lo2):
                 continue
-            yield from rec(idx + 1, lo2, hi2, partial + val)
+            yield from rec(idx + 1, lo2, hi2)
 
-    yield from rec(0, lo, hi, 0)
+    yield from rec(0, lo, hi)
 
 
 def enumerate_solutions(
@@ -348,48 +314,28 @@ def solve_min_sum(
     least among the sum-minimal solutions.  Raises InfeasibleError when
     the box holds no solution.
     """
-    vsigs = p.verifying_sigs
-    fsigs = p.falsifying_sigs
-    n = p.n
-    best_sum: int | None = None
-    best_vec: KappaVector | None = None
-    lo = [d[0] for d in p.domains]
-    hi = [d[1] for d in p.domains]
-    if _propagate_box(lo, hi, vsigs, fsigs):
-
-        def rec(idx: int, lo: list[int], hi: list[int], partial: int) -> None:
-            nonlocal best_sum, best_vec
-            if deadline is not None and perf_counter() > deadline:
-                raise SolveTimeout
-            if idx == n:
-                if best_sum is None or partial < best_sum:
-                    best_sum, best_vec = partial, tuple(lo)
-                return
-            rest_lo = sum(lo[idx + 1 :])
-            for val in range(lo[idx], hi[idx] + 1):
-                if best_sum is not None and partial + val + rest_lo >= best_sum:
-                    break
-                lo2 = lo.copy()
-                hi2 = hi.copy()
-                lo2[idx] = hi2[idx] = val
-                if not _propagate_box(lo2, hi2, vsigs, fsigs):
-                    continue
-                if best_sum is not None and partial + val + sum(lo2[idx + 1 :]) >= best_sum:
-                    continue
-                rec(idx + 1, lo2, hi2, partial + val)
-
-        rec(0, lo, hi, 0)
-    if best_vec is None:
+    best: tuple[int, KappaVector] | None = None
+    # Each solution the cut lets through has a smaller sum than the last.
+    for v in _search(p, lambda lo: best is not None and sum(lo) >= best[0], deadline):
+        best = sum(v), v
+    if best is None:
         raise InfeasibleError(p.bound, p.degenerate_rules)
-    return best_sum, best_vec
+    return best
 
 
 def all_min_sum(p: CRProblem, deadline: float | None = None) -> SolutionSet:
-    """Exactly the solutions whose component sum is minimal, in two phases:
-    find the minimum, then enumerate at that fixed sum."""
-    minimal, _ = solve_min_sum(p, deadline=deadline)
-    vectors = tuple(_search(p, sum_target=minimal, deadline=deadline))
-    return SolutionSet(SolutionOrdering.SUM, p.bound, vectors, minimal_sum=minimal)
+    """Exactly the solutions whose component sum is minimal, in one
+    branch-and-bound pass that keeps ties."""
+    minimal: int | None = None
+    vectors: list[KappaVector] = []
+    for v in _search(p, lambda lo: minimal is not None and sum(lo) > minimal, deadline):
+        total = sum(v)
+        if minimal is None or total < minimal:
+            minimal, vectors = total, []
+        vectors.append(v)
+    if minimal is None:
+        raise InfeasibleError(p.bound, p.degenerate_rules)
+    return SolutionSet(SolutionOrdering.SUM, p.bound, tuple(vectors), minimal_sum=minimal)
 
 
 def _non_dominated(vectors: list[KappaVector]) -> list[KappaVector]:
@@ -410,10 +356,14 @@ def pareto_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     """Solutions not componentwise-dominated by any other solution in the
     box (a partial order: the result can be larger than the sum-minimal
     set, and every sum-minimal solution is in it)."""
-    vectors = tuple(_search(p, deadline=deadline, pareto=True))
-    if not vectors:
+    # Lexicographic order puts every dominator first, so the solutions
+    # yielded so far are the frontier found so far.
+    frontier: list[KappaVector] = []
+    for v in _search(p, lambda lo: _dominated(frontier, lo), deadline):
+        frontier.append(v)
+    if not frontier:
         raise InfeasibleError(p.bound, p.degenerate_rules)
-    return SolutionSet(SolutionOrdering.COMPONENTWISE, p.bound, vectors)
+    return SolutionSet(SolutionOrdering.COMPONENTWISE, p.bound, tuple(frontier))
 
 
 def ocf_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
@@ -429,10 +379,7 @@ def ocf_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     surviving = _non_dominated(list(by_ranking))
     # A rule that no world falsifies has no falsifying signature; its
     # component takes every value of its box range without changing a rank.
-    free = [
-        None if fs else range(lo, hi + 1)
-        for (lo, hi), fs in zip(p.domains, p.falsifying_sigs)
-    ]
+    free = [None if fs else range(p.bound + 1) for fs in p.falsifying_sigs]
     kept = sorted(
         expanded
         for ranking in surviving

@@ -16,24 +16,15 @@ Everything here is pure and immutable once built.
 
 from __future__ import annotations
 
-import enum
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, product
 from typing import Iterator, Sequence
 
-from .kb import Atom, Conditional, Formula, KnowledgeBase, Term
+from .kb import Atom, Formula, KnowledgeBase, Term
 
 WorldSet = int
-
-
-class IndicatorValue(enum.Enum):
-    """Three-valued status of a conditional at a world."""
-
-    VERIFIES = 1
-    FALSIFIES = 0
-    NOT_APPLICABLE = "u"
 
 
 def world_count(m: int) -> int:
@@ -117,16 +108,6 @@ def atom_worlds(m: int, index: int) -> WorldSet:
     return _bit_column(m, m - index)
 
 
-def eval_term(t: Term, w: int) -> bool:
-    """True iff every positive bit of the term is 1 and every negative bit
-    is 0 in world ``w``; unconstrained atoms are free."""
-    return (w & t.pos) == t.pos and (w & t.neg) == 0
-
-
-def eval_formula(f: Formula, w: int) -> bool:
-    return any(eval_term(t, w) for t in f.terms)
-
-
 def term_worlds(t: Term) -> WorldSet:
     if t.pos & t.neg:
         return 0
@@ -146,17 +127,6 @@ def formula_worlds(f: Formula) -> WorldSet:
     for t in f.terms:
         ws |= term_worlds(t)
     return ws
-
-
-def indicator(c: Conditional, w: int) -> IndicatorValue:
-    """Three-valued indicator of conditional ``c`` at world ``w``:
-    VERIFIES on antecedent-and-consequent worlds, FALSIFIES on
-    antecedent-and-negated-consequent worlds, NOT_APPLICABLE otherwise."""
-    if not eval_formula(c.antecedent, w):
-        return IndicatorValue.NOT_APPLICABLE
-    if eval_formula(c.consequent, w):
-        return IndicatorValue.VERIFIES
-    return IndicatorValue.FALSIFIES
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,11 @@ import random
 
 from crsolve import (
     Conditional,
+    CRProblem,
     Formula,
     KnowledgeBase,
     RankingFunction,
+    Term,
     parse_kb,
     world_str,
     world_str_compact,
@@ -61,6 +63,12 @@ def penguins_kb() -> KnowledgeBase:
 def true_atoms(kb: KnowledgeBase, w: int) -> set[str]:
     m = kb.m
     return {a.name for a in kb.atoms if (w >> (m - a.index)) & 1}
+
+
+def eval_term(t: Term, w: int) -> bool:
+    """True iff every positive bit of the term is 1 and every negative bit
+    is 0 in world ``w``; unconstrained atoms are free."""
+    return (w & t.pos) == t.pos and (w & t.neg) == 0
 
 
 def eval_formula_ref(f: Formula, kb: KnowledgeBase, w: int) -> bool:
@@ -127,6 +135,19 @@ def check_ref(kb, v, compiled=None) -> bool:
         if not v[i] > vmin - fmin:
             return False
     return True
+
+
+def falsified_sum(p: CRProblem, i: int, w: int, v: tuple[int, ...]) -> int:
+    """Sum of v[j] over rules j != i (1-based ids) falsified at world w,
+    read from the compiled ``world_sigs``."""
+    if not 1 <= i <= p.n:
+        raise ValueError(f"rule id {i} out of range 1..{p.n}")
+    if not 0 <= w < p.partitions.num_worlds:
+        raise ValueError(f"world index {w} out of range")
+    if len(v) != p.n:
+        raise ValueError(f"vector has length {len(v)}, expected {p.n}")
+    sig = p.world_sigs[w]
+    return sum(v[j] for j in range(p.n) if j != i - 1 and (sig >> j) & 1)
 
 
 def brute_solutions(kb: KnowledgeBase, bound: int | None = None) -> list[tuple[int, ...]]:

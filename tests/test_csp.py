@@ -12,19 +12,19 @@ from crsolve import (
     build_problem,
     check_solution,
     enumerate_solutions,
-    falsified_sum,
     ocf_min,
     parse_kb,
     pareto_min,
-    propagate,
     solve_min_sum,
 )
+from crsolve.csp import _propagate_box
 
 from tests.helpers import (
     BIRDS_TEXT,
     brute_solutions,
     check_ref,
     compile_ref,
+    falsified_sum,
     non_dominated_ref,
     ocf_min_ref,
     random_kb_text,
@@ -47,19 +47,18 @@ def penguins_problem(penguins):
 
 class TestBuildProblem:
     def test_birds_domains(self, birds_problem):
-        assert birds_problem.domains == ((0, 3),) * 3
+        assert (birds_problem.bound, birds_problem.n) == (3, 3)
 
     def test_penguins_domains(self, penguins_problem):
-        assert penguins_problem.domains == ((0, 5),) * 5
+        assert (penguins_problem.bound, penguins_problem.n) == (5, 5)
 
     def test_empty_kb(self):
         p = build_problem(parse_kb(EMPTY_TEXT))
-        assert p.domains == ()
-        assert not p.infeasible
+        assert (p.bound, p.n) == (0, 0)
 
     def test_bound_override(self, birds):
         p = build_problem(birds, bound=7)
-        assert p.domains == ((0, 7),) * 3
+        assert (p.bound, p.n) == (7, 3)
         with pytest.raises(ValueError):
             build_problem(birds, bound=-1)
 
@@ -122,30 +121,36 @@ class TestCheckSolution:
             assert check_solution(birds_problem, v) == check_ref(birds, v, compiled)
 
 
+def propagate_box(p, lo=None, hi=None):
+    """(feasible, lo, hi) after propagating the box, or the given bounds."""
+    lo = [0] * p.n if lo is None else list(lo)
+    hi = [p.bound] * p.n if hi is None else list(hi)
+    return _propagate_box(lo, hi, p.verifying_sigs, p.falsifying_sigs), lo, hi
+
+
 class TestPropagate:
     def test_birds_fixpoint(self, birds_problem):
-        assert propagate(birds_problem).domains == ((1, 3), (0, 3), (0, 3))
+        assert propagate_box(birds_problem) == (True, [1, 0, 0], [3, 3, 3])
 
     def test_contradictory_defaults_infeasible(self):
         p = build_problem(parse_kb(CONTRADICTORY_TEXT))
-        assert propagate(p).infeasible
+        assert propagate_box(p)[0] is False
         assert brute_solutions(parse_kb(CONTRADICTORY_TEXT)) == []
 
     def test_empty_kb_feasible(self):
         p = build_problem(parse_kb(EMPTY_TEXT))
-        assert not propagate(p).infeasible
+        assert propagate_box(p)[0] is True
 
     def test_idempotent(self, birds_problem, penguins_problem):
         for p in (birds_problem, penguins_problem):
-            once = propagate(p)
-            assert propagate(once) == once
+            once = propagate_box(p)
+            assert propagate_box(p, once[1], once[2]) == once
 
     def test_domains_only_shrink(self, birds_problem, penguins_problem):
         for p in (birds_problem, penguins_problem):
-            tightened = propagate(p)
-            for (lo0, hi0), (lo1, hi1) in zip(p.domains, tightened.domains):
-                assert lo1 >= lo0
-                assert hi1 <= hi0
+            _, lo, hi = propagate_box(p)
+            assert all(x >= 0 for x in lo)
+            assert all(x <= p.bound for x in hi)
 
 
 class TestEnumerate:
@@ -305,9 +310,9 @@ class TestOracleEquivalence:
             assert list(enumerate_solutions(problem).vectors) == oracle
             if oracle:
                 best = min(sum(v) for v in oracle)
-                assert list(all_min_sum(problem).vectors) == [
-                    v for v in oracle if sum(v) == best
-                ]
+                minima = [v for v in oracle if sum(v) == best]
+                assert list(all_min_sum(problem).vectors) == minima
+                assert solve_min_sum(problem) == (best, minima[0])
                 assert list(pareto_min(problem).vectors) == non_dominated_ref(oracle)
             else:
                 with pytest.raises(InfeasibleError):
@@ -328,6 +333,10 @@ class TestDeadline:
     def test_expired_deadline_times_out(self, solver, penguins_problem):
         with pytest.raises(SolveTimeout):
             solver(penguins_problem, deadline=perf_counter() - 1.0)
+
+    def test_expired_deadline_stops_compilation(self, birds):
+        with pytest.raises(SolveTimeout):
+            build_problem(birds, deadline=perf_counter() - 1.0)
 
 
 class TestFrontierOracle:
@@ -351,11 +360,14 @@ class TestFrontierOracle:
                 problem = build_problem(kb, bound=bound)
                 oracle = brute_solutions(kb, bound)
                 if not oracle:
-                    with pytest.raises(InfeasibleError):
-                        pareto_min(problem)
-                    with pytest.raises(InfeasibleError):
-                        ocf_min(problem)
+                    for solver in (solve_min_sum, all_min_sum, pareto_min, ocf_min):
+                        with pytest.raises(InfeasibleError):
+                            solver(problem)
                     continue
+                best = min(sum(v) for v in oracle)
+                minima = [v for v in oracle if sum(v) == best]
+                assert list(all_min_sum(problem).vectors) == minima, text
+                assert solve_min_sum(problem) == (best, minima[0]), text
                 assert list(pareto_min(problem).vectors) == non_dominated_ref(oracle), text
                 assert list(ocf_min(problem).vectors) == ocf_min_ref(kb, bound), text
                 if index % 4 in (1, 2):

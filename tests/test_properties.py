@@ -15,17 +15,16 @@ from crsolve import (
     check_solution,
     enumerate_solutions,
     formula_worlds,
-    indicator,
     induced_ocf,
     ocf_records,
     parse_formula,
     parse_kb,
     pareto_min,
-    propagate,
     render_kb,
     render_table,
 )
-from crsolve.worlds import IndicatorValue, full_set, iter_bits, selector, world_signatures
+from crsolve.csp import _propagate_box
+from crsolve.worlds import full_set, iter_bits, selector, world_signatures
 
 from tests.helpers import (
     bits_ref,
@@ -85,13 +84,9 @@ def test_tri_partition_and_indicator_agreement(text):
         assert v & f == 0
         assert (v | f) & ~full == 0
         for w in range(2**kb.m):
-            status = indicator(c, w)
-            expected = {"v": IndicatorValue.VERIFIES, "f": IndicatorValue.FALSIFIES, "n": IndicatorValue.NOT_APPLICABLE}[
-                indicator_ref(c, kb, w)
-            ]
-            assert status is expected
-            assert ((v >> w) & 1) == (status is IndicatorValue.VERIFIES)
-            assert ((f >> w) & 1) == (status is IndicatorValue.FALSIFIES)
+            status = indicator_ref(c, kb, w)
+            assert ((v >> w) & 1) == (status == "v")
+            assert ((f >> w) & 1) == (status == "f")
 
 
 @given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), formula_texts(NAMES[:m]), formula_texts(NAMES[:m]))))
@@ -117,11 +112,15 @@ def test_conjunction_is_intersection_of_world_sets(args):
 @given(kb_texts())
 def test_propagate_shrinks_and_is_idempotent(text):
     problem = build_problem(parse_kb(text))
-    once = propagate(problem)
-    for (lo0, hi0), (lo1, hi1) in zip(problem.domains, once.domains):
-        assert lo1 >= lo0
-        assert hi1 <= hi0
-    assert propagate(once) == once
+    sigs = problem.verifying_sigs, problem.falsifying_sigs
+    lo, hi = [0] * problem.n, [problem.bound] * problem.n
+    feasible = _propagate_box(lo, hi, *sigs)
+    assert all(x >= 0 for x in lo)
+    assert all(x <= problem.bound for x in hi)
+    if feasible:
+        lo2, hi2 = lo.copy(), hi.copy()
+        assert _propagate_box(lo2, hi2, *sigs)
+        assert (lo2, hi2) == (lo, hi)
 
 
 @settings(max_examples=40)
