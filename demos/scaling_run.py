@@ -39,7 +39,7 @@ print()
 
 print(f"=== Timing sweep (n = 2..{max_n}, median of 3 runs) ===")
 specs = [SyntheticSpec(n, 0) for n in range(2, max_n + 1)]
-records = run_bench(specs, op="min-all", repetitions=3, timeout_s=120)
+records = run_bench(specs, repetitions=3, timeout_s=120)
 buffer = io.StringIO()
 write_csv(records, buffer)
 print(buffer.getvalue())

@@ -50,11 +50,9 @@ from .ocf import (
 from .worlds import (
     FalsificationMatrix,
     WorldSet,
-    atom_worlds,
     build_partitions,
     formula_worlds,
     world_str,
-    world_str_compact,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +80,6 @@ __all__ = [
     "acceptance_ranks",
     "accepts",
     "all_min_sum",
-    "atom_worlds",
     "build_partitions",
     "build_problem",
     "check_solution",
@@ -104,7 +101,6 @@ __all__ = [
     "run_bench",
     "solve_min_sum",
     "world_str",
-    "world_str_compact",
     "write_csv",
     "__version__",
 ]

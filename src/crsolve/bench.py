@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import IO, Iterable
 
-from .csp import (
-    CRProblem,
-    InfeasibleError,
-    SolveTimeout,
-    all_min_sum,
-    build_problem,
-    enumerate_solutions,
-    solve_min_sum,
-)
+from .csp import InfeasibleError, SolveTimeout, all_min_sum, build_problem
 from .kb import KnowledgeBase, parse_kb
 
 CSV_COLUMNS = ("kb_name", "vars", "conditionals", "operation", "wall_time_s", "solutions_found")
@@ -75,42 +67,17 @@ class BenchRecord:
     timed_out: bool = False
 
 
-def _count_min_all(p: CRProblem, deadline: float | None) -> int:
-    return len(all_min_sum(p, deadline=deadline).vectors)
-
-
-def _count_enumerate(p: CRProblem, deadline: float | None) -> int:
-    return len(enumerate_solutions(p, deadline=deadline).vectors)
-
-
-def _count_min(p: CRProblem, deadline: float | None) -> int:
-    solve_min_sum(p, deadline=deadline)
-    return 1
-
-
-_OPERATIONS = {
-    "min-all": _count_min_all,
-    "enumerate": _count_enumerate,
-    "min": _count_min,
-}
-
-
 def run_bench(
     specs: Iterable[SyntheticSpec],
-    op: str = "min-all",
     repetitions: int = 3,
     timeout_s: float | None = None,
 ) -> list[BenchRecord]:
-    """Time ``op`` on each spec, ``repetitions`` times; the recorded wall
+    """Time ``min-all`` on each spec, ``repetitions`` times; the recorded wall
     time is the median over repetitions on a monotonic clock.  A timed-out
     spec yields a flagged record (no solution count) instead of raising.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    try:
-        runner = _OPERATIONS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}; expected one of {sorted(_OPERATIONS)}")
     records = []
     for spec in specs:
         kb = gen_synthetic(spec.n, spec.j)
@@ -122,7 +89,7 @@ def run_bench(
             start = perf_counter()
             deadline = start + timeout_s if timeout_s is not None else None
             try:
-                count = runner(problem, deadline)
+                count = len(all_min_sum(problem, deadline=deadline).vectors)
             except SolveTimeout:
                 times = [perf_counter() - start]
                 count = None
@@ -136,7 +103,7 @@ def run_bench(
                 kb_name=spec.name,
                 variables=kb.m,
                 conditionals=kb.n,
-                operation=op,
+                operation="min-all",
                 wall_time_s=statistics.median(times),
                 solutions_found=count,
                 timed_out=timed_out,

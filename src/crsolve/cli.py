@@ -52,8 +52,8 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be positive, got {args.limit}")
     deadline = None
     if args.timeout is not None:
         if not args.timeout > 0:
@@ -149,7 +149,11 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--limit", type=int, default=None, help="truncate the listing")
     solve.add_argument("--bound", type=int, default=None, help="override the per-variable upper bound")
     solve.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS", help="give up after SECONDS (exit 3)"
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="give up after SECONDS (exit 3); checked between compiled rules and at every search node",
     )
     solve.add_argument("--json", action="store_true")
     solve.add_argument("file")

@@ -61,14 +61,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress, islice, product
 from operator import le
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .kb import KnowledgeBase
 from .worlds import (
-    FalsificationMatrix,
     build_partitions,
     iter_bits,
     selector,
@@ -132,10 +131,8 @@ class SolutionSet:
 
 @dataclass(frozen=True)
 class CRProblem:
-    """Compiled constraint problem: partitions, signatures, and the box
-    [0, bound]^n."""
+    """Compiled constraint problem: signatures and the box [0, bound]^n."""
 
-    partitions: FalsificationMatrix
     bound: int
     world_sigs: tuple[int, ...]
     verifying_sigs: tuple[_SigSet, ...]
@@ -159,9 +156,11 @@ def _minimal_signatures(masks: set[int]) -> _SigSet:
 def build_problem(
     kb: KnowledgeBase, bound: int | None = None, deadline: float | None = None
 ) -> CRProblem:
-    """Compile CR(R): world partitions, falsification signatures, and the
-    box [0, bound]^n (bound defaults to n).  Raises SolveTimeout when the
-    ``perf_counter`` deadline passes between two rules."""
+    """Compile CR(R): falsification signatures and the box [0, bound]^n
+    (bound defaults to n).  Raises SolveTimeout when the ``perf_counter``
+    deadline has passed; it is checked only between compiled rules, so
+    compilation can overshoot it by one rule's signature pass (and by the
+    world-set and signature passes before the first rule)."""
     parts = build_partitions(kb)
     n = parts.n
     if bound is None:
@@ -186,7 +185,6 @@ def build_problem(
         if not vmasks:
             degenerate.append(i + 1)
     return CRProblem(
-        partitions=parts,
         bound=bound,
         world_sigs=world_sigs,
         verifying_sigs=tuple(verifying_sigs),
@@ -200,30 +198,23 @@ def _min_sig_sum(sigs: _SigSet, values) -> int:
 
 
 def check_solution(p: CRProblem, v: KappaVector) -> bool:
-    """Exact test of the constraint conjunction at vector v.
-
-    Empty-min cases: no verifying world makes rule i unsatisfiable for any
-    finite v[i]; no falsifying world satisfies the constraint vacuously.
-    """
+    """Exact test of the constraint conjunction at vector v: propagation on
+    the single point lo = hi = v raises a bound exactly where v violates a
+    constraint."""
     if len(v) != p.n:
         raise ValueError(f"vector has length {len(v)}, expected {p.n}")
     if any(x < 0 for x in v):
         return False
-    for i in range(p.n):
-        vs = p.verifying_sigs[i]
-        if not vs:
-            return False
-        fs = p.falsifying_sigs[i]
-        if not fs:
-            continue
-        if v[i] <= _min_sig_sum(vs, v) - _min_sig_sum(fs, v):
-            return False
-    return True
+    return _propagate_box(list(v), list(v), p.verifying_sigs, p.falsifying_sigs)
 
 
 def _propagate_box(lo: list[int], hi: list[int], vsigs, fsigs) -> bool:
     """Tighten lower bounds to their fixpoint in place; False if some
-    domain empties (including any rule with no verifying world)."""
+    domain empties.
+
+    Empty-min cases: no verifying world makes rule i unsatisfiable for any
+    finite value; no falsifying world satisfies its constraint vacuously.
+    """
     n = len(lo)
     changed = True
     while changed:
@@ -246,7 +237,7 @@ def _propagate_box(lo: list[int], hi: list[int], vsigs, fsigs) -> bool:
     return True
 
 
-def _dominated(frontier: list[KappaVector], lo: list[int]) -> bool:
+def _dominated(frontier: list[KappaVector], lo: Sequence[int]) -> bool:
     """True when some frontier vector is <= lo in every component."""
     return any(all(map(le, f, lo)) for f in frontier)
 
@@ -297,12 +288,8 @@ def enumerate_solutions(
     must be nonnegative."""
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    vectors: list[KappaVector] = []
-    for v in _search(p, deadline=deadline):
-        if limit is not None and len(vectors) >= limit:
-            break
-        vectors.append(v)
-    return SolutionSet(SolutionOrdering.ALL, p.bound, tuple(vectors))
+    vectors = tuple(islice(_search(p, deadline=deadline), limit))
+    return SolutionSet(SolutionOrdering.ALL, p.bound, vectors)
 
 
 def solve_min_sum(
@@ -347,7 +334,7 @@ def _non_dominated(vectors: list[KappaVector]) -> list[KappaVector]:
     """
     frontier: list[KappaVector] = []
     for v in sorted(vectors, key=lambda x: (sum(x), x)):
-        if not any(all(f[i] <= v[i] for i in range(len(v))) for f in frontier):
+        if not _dominated(frontier, v):
             frontier.append(v)
     return sorted(frontier)
 

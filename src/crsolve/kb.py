@@ -34,7 +34,7 @@ input text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_ATOMS = 20
 MAX_RULES = 64
@@ -92,11 +92,9 @@ class Term:
 
 @dataclass(frozen=True)
 class Formula:
-    """A propositional formula in DNF; ``source`` is the original text and
-    is ignored by equality."""
+    """A propositional formula in DNF."""
 
     terms: tuple[Term, ...]
-    source: str = field(compare=False, default="")
 
 
 @dataclass(frozen=True)
@@ -247,7 +245,7 @@ def _index_of(atoms: tuple[Atom, ...]) -> dict[str, int]:
 def parse_formula(text: str, atoms: tuple[Atom, ...]) -> Formula:
     """Parse a standalone formula over the given alphabet into DNF."""
     parser = _FormulaParser(text, 1, 1, _index_of(atoms))
-    return Formula(parser.parse(), source=text)
+    return Formula(parser.parse())
 
 
 def _parse_conditional_body(
@@ -282,12 +280,8 @@ def _parse_conditional_body(
         raise KBSyntaxError("empty consequent", lineno, lpar + 2)
     if not ant_text.strip():
         raise KBSyntaxError("empty antecedent", lineno, bar + 2)
-    consequent = Formula(
-        _FormulaParser(cons_text, lineno, lpar + 2, atom_index).parse(), source=cons_text.strip()
-    )
-    antecedent = Formula(
-        _FormulaParser(ant_text, lineno, bar + 2, atom_index).parse(), source=ant_text.strip()
-    )
+    consequent = Formula(_FormulaParser(cons_text, lineno, lpar + 2, atom_index).parse())
+    antecedent = Formula(_FormulaParser(ant_text, lineno, bar + 2, atom_index).parse())
     return consequent, antecedent
 
 

@@ -83,7 +83,6 @@ class RankingFunction:
 
     ranks: tuple[int, ...]
     kb: KnowledgeBase
-    source: KappaVector
 
 
 def _subset_sums(values: KappaVector) -> list[int]:
@@ -109,7 +108,7 @@ def induced_ocf(kb: KnowledgeBase, v: KappaVector) -> RankingFunction:
     for g, column in enumerate(signature_columns(parts.falsifying, kb.m)):
         sums = _subset_sums(v[8 * g : 8 * g + 8])
         ranks = map(add, ranks, map(sums.__getitem__, column))
-    return RankingFunction(tuple(ranks), kb, tuple(v))
+    return RankingFunction(tuple(ranks), kb)
 
 
 def _rank_of_set(r: RankingFunction, ws: int) -> Rank:

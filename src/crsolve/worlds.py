@@ -103,11 +103,6 @@ def _bit_column(m: int, k: int) -> WorldSet:
     return pattern
 
 
-def atom_worlds(m: int, index: int) -> WorldSet:
-    """Worlds in which the atom with 1-based ``index`` is true."""
-    return _bit_column(m, m - index)
-
-
 def term_worlds(t: Term) -> WorldSet:
     if t.pos & t.neg:
         return 0
@@ -172,14 +167,6 @@ def world_str(atoms: tuple[Atom, ...], w: int) -> str:
     )
 
 
-def world_str_compact(atoms: tuple[Atom, ...], w: int) -> str:
-    """Compact form used in JSON records, e.g. ``pbfwk`` or ``p-bfwk``."""
-    m = len(atoms)
-    return "".join(
-        a.name if w & (1 << (m - a.index)) else "-" + a.name for a in atoms
-    )
-
-
 def _literal_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
     # Indexed by the worlds over just these atoms, first atom most significant.
     return [sep.join(t) for t in product(*(("-" + a.name, a.name) for a in atoms))]
@@ -187,8 +174,9 @@ def _literal_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
 
 def world_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
     """Every world's label, indexed by world: ``world_str`` for sep " ",
-    ``world_str_compact`` for sep "".  Each label is one concatenation of
-    two entries from tables over the high and the low half of the atoms."""
+    the compact JSON form (``pbfwk``, ``p-bfwk``) for sep "".  Each label is
+    one concatenation of two entries from tables over the high and the low
+    half of the atoms."""
     half = len(atoms) // 2
     low = _literal_names(atoms[half:], sep)
     if not half:

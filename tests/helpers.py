@@ -21,7 +21,6 @@ from crsolve import (
     Term,
     parse_kb,
     world_str,
-    world_str_compact,
 )
 
 BIRDS_TEXT = """\
@@ -142,7 +141,7 @@ def falsified_sum(p: CRProblem, i: int, w: int, v: tuple[int, ...]) -> int:
     read from the compiled ``world_sigs``."""
     if not 1 <= i <= p.n:
         raise ValueError(f"rule id {i} out of range 1..{p.n}")
-    if not 0 <= w < p.partitions.num_worlds:
+    if not 0 <= w < len(p.world_sigs):
         raise ValueError(f"world index {w} out of range")
     if len(v) != p.n:
         raise ValueError(f"vector has length {len(v)}, expected {p.n}")
@@ -213,6 +212,12 @@ def render_table_ref(r: RankingFunction) -> str:
     rows = [(world_str(r.kb.atoms, w), r.ranks[w]) for w in range(len(r.ranks) - 1, -1, -1)]
     width = max(len(s) for s, _ in rows)
     return "\n".join(f"{s:<{width}}  {rank}" for s, rank in rows) + "\n"
+
+
+def world_str_compact(atoms, w: int) -> str:
+    """A world as unseparated literals, e.g. ``pbfwk`` or ``p-bfwk``."""
+    m = len(atoms)
+    return "".join(a.name if w & (1 << (m - a.index)) else "-" + a.name for a in atoms)
 
 
 def ocf_records_ref(r: RankingFunction) -> list[dict]:

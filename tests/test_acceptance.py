@@ -205,7 +205,7 @@ def test_criterion_9_benchmark_scale(tmp_path):
     from crsolve import write_csv
 
     start = perf_counter()
-    records = run_bench([SyntheticSpec(5, 0)], op="min-all", repetitions=1, timeout_s=120)
+    records = run_bench([SyntheticSpec(5, 0)], repetitions=1, timeout_s=120)
     elapsed = perf_counter() - start
     buffer = io.StringIO()
     write_csv(records, buffer)

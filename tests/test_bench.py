@@ -75,7 +75,7 @@ class TestChainStructure:
 
 class TestRunBench:
     def test_single_spec_record(self):
-        records = run_bench([SyntheticSpec(3, 0)], op="min-all", repetitions=2)
+        records = run_bench([SyntheticSpec(3, 0)], repetitions=2)
         assert len(records) == 1
         rec = records[0]
         assert rec.kb_name == "kb(3,5)"
@@ -89,20 +89,12 @@ class TestRunBench:
     def test_empty_spec_list(self):
         assert run_bench([], repetitions=1) == []
 
-    def test_enumerate_and_min_operations(self):
-        enum_rec, = run_bench([SyntheticSpec(2, 0)], op="enumerate", repetitions=1)
-        min_rec, = run_bench([SyntheticSpec(2, 0)], op="min", repetitions=1)
-        assert enum_rec.solutions_found == len(brute_solutions(gen_synthetic(2, 0)))
-        assert min_rec.solutions_found == 1
-
     def test_timeout_flags_record(self):
         records = run_bench([SyntheticSpec(4, 0)], repetitions=3, timeout_s=0.0)
         assert records[0].timed_out
         assert records[0].solutions_found is None
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            run_bench([], op="fastest")
         with pytest.raises(ValueError):
             run_bench([], repetitions=0)
 

@@ -97,7 +97,15 @@ class TestSolve:
         assert main(["solve", "--mode", mode, "--limit", "-1", birds_file]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--limit must be nonnegative" in captured.err
+        assert "--limit must be positive" in captured.err
+
+    @pytest.mark.parametrize("mode", ["all", "min", "min-all", "pareto", "ocf-min"])
+    def test_zero_limit_rejected(self, mode, birds_file, capsys):
+        # birds is feasible, so exit 1 ("no solution") would be a wrong answer.
+        assert main(["solve", "--mode", mode, "--limit", "0", "--json", birds_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit must be positive, got 0" in captured.err
 
     def test_determinism(self, penguins_file, capsys):
         main(["solve", "--mode", "min-all", "--json", penguins_file])

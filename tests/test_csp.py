@@ -17,6 +17,7 @@ from crsolve import (
     pareto_min,
     solve_min_sum,
 )
+from crsolve import csp
 from crsolve.csp import _propagate_box
 
 from tests.helpers import (
@@ -120,6 +121,27 @@ class TestCheckSolution:
         for v in itertools.product(range(4), repeat=3):
             assert check_solution(birds_problem, v) == check_ref(birds, v, compiled)
 
+    def test_agrees_with_reference_on_random_kbs(self):
+        # Components run past the box on both sides, so evaluating anywhere
+        # but at v itself (say, at the box corners) shows up.
+        rng = random.Random(5021)
+        for _ in range(150):
+            kb = parse_kb(random_kb_text(rng, max_atoms=4, max_rules=5))
+            p = build_problem(kb)
+            compiled = compile_ref(kb)
+            values = range(-1, p.bound + 4)
+            if len(values) ** p.n <= 600:
+                vectors = list(itertools.product(values, repeat=p.n))
+            else:
+                vectors = [tuple(rng.choice(values) for _ in range(p.n)) for _ in range(300)]
+                # Solutions and their neighbours sit on the constraint boundary.
+                for v in enumerate_solutions(p, limit=20).vectors:
+                    vectors.append(v)
+                    for i in range(p.n):
+                        vectors.append(v[:i] + (v[i] - 1,) + v[i + 1 :])
+            for v in vectors:
+                assert check_solution(p, v) == check_ref(kb, v, compiled), (kb, v)
+
 
 def propagate_box(p, lo=None, hi=None):
     """(feasible, lo, hi) after propagating the box, or the given bounds."""
@@ -185,6 +207,15 @@ class TestEnumerate:
 
     def test_limit_zero_is_empty(self, birds_problem):
         assert enumerate_solutions(birds_problem, limit=0).vectors == ()
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_limit_pulls_no_solution_past_it(self, birds_problem, monkeypatch, k):
+        def search(p, cut=None, deadline=None):
+            yield from ((i,) for i in range(k))
+            raise AssertionError(f"solution {k + 1} pulled for limit {k}")
+
+        monkeypatch.setattr(csp, "_search", search)
+        assert enumerate_solutions(birds_problem, limit=k).vectors == tuple((i,) for i in range(k))
 
     def test_lexicographic_and_duplicate_free(self, birds_problem):
         vs = enumerate_solutions(birds_problem).vectors

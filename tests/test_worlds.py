@@ -1,16 +1,14 @@
 import pytest
 
 from crsolve import (
-    atom_worlds,
     build_partitions,
     formula_worlds,
     parse_formula,
     parse_kb,
     world_str,
-    world_str_compact,
 )
-from crsolve.kb import Term
-from crsolve.worlds import full_set, iter_bits
+from crsolve.kb import Atom, Term
+from crsolve.worlds import full_set, iter_bits, world_names
 
 from tests.helpers import eval_formula_ref, eval_term, indicator_ref, true_atoms
 
@@ -47,7 +45,7 @@ class TestFormulaWorlds:
     def test_single_literal_has_half_the_worlds(self, penguins):
         ws = formula_worlds(parse_formula("b", penguins.atoms))
         assert ws.bit_count() == 16
-        assert ws == atom_worlds(5, 2)
+        assert ws == sum(1 << w for w in range(32) if w & 0b01000)
 
     def test_top_is_all_worlds(self, penguins):
         assert formula_worlds(parse_formula("top", penguins.atoms)) == full_set(5)
@@ -150,8 +148,9 @@ class TestRendering:
         assert world_str(penguins.atoms, 0) == "-p -b -f -w -k"
 
     def test_world_str_compact(self, penguins):
-        assert world_str_compact(penguins.atoms, PBFWK) == "pbfwk"
-        assert world_str_compact(penguins.atoms, 0b10111) == "p-bfwk"
+        names = world_names(penguins.atoms, "")
+        assert names[PBFWK] == "pbfwk"
+        assert names[0b10111] == "p-bfwk"
 
 
 class TestBitHelpers:
@@ -161,9 +160,10 @@ class TestBitHelpers:
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_atom_worlds_against_brute_force(self, m):
-        for index in range(1, m + 1):
+        atoms = tuple(Atom(f"a{i}", i) for i in range(1, m + 1))
+        for a in atoms:
             expected = 0
             for w in range(2**m):
-                if (w >> (m - index)) & 1:
+                if (w >> (m - a.index)) & 1:
                     expected |= 1 << w
-            assert atom_worlds(m, index) == expected
+            assert formula_worlds(parse_formula(a.name, atoms)) == expected
