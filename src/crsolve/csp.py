@@ -21,7 +21,10 @@ rules are reported as degenerate.
 Compilation: every world's falsified-rule set is collapsed into a bitmask
 signature, and for each constraint side only the subset-minimal signatures
 are kept (sums are monotone in the nonnegative variables, so minima are
-attained there).
+attained there).  The distinct signatures are sorted once, numerically,
+which lists every signature after its proper subsets; each rule's
+candidates are filtered from that list in order, and the antichain is
+peeled off its front (``_minimal_signatures``).
 
 One labelling engine serves every solver.  It runs bounds propagation at
 every search node:
@@ -137,19 +140,29 @@ class CRProblem:
     world_sigs: tuple[int, ...]
     verifying_sigs: tuple[_SigSet, ...]
     falsifying_sigs: tuple[_SigSet, ...]
-    degenerate_rules: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.verifying_sigs)
 
+    @property
+    def degenerate_rules(self) -> tuple[int, ...]:
+        """Ids (1-based) of the rules that no world verifies."""
+        return tuple(i + 1 for i, vs in enumerate(self.verifying_sigs) if not vs)
 
-def _minimal_signatures(masks: set[int]) -> _SigSet:
-    """Subset-minimal antichain of rule-index bitmasks, as index tuples."""
+
+def _minimal_signatures(masks: list[int]) -> _SigSet:
+    """Subset-minimal antichain of distinct rule-index bitmasks, as index
+    tuples.  ``masks`` lists every mask after its proper subsets, as
+    ascending numeric order does.  Peel: keep the first mask left, drop it
+    and its supersets, repeat.  The first mask left is minimal: a proper
+    subset of it came earlier and was dropped for holding a kept mask, so
+    the first mask holds that kept mask too and was dropped with it."""
     kept: list[int] = []
-    for mask in sorted(masks, key=lambda s: (s.bit_count(), s)):
-        if not any(k & mask == k for k in kept):
-            kept.append(mask)
+    while masks:
+        low = masks[0]
+        kept.append(low)
+        masks = [s for s in masks if s & low != low]
     return tuple(tuple(iter_bits(mask)) for mask in kept)
 
 
@@ -160,37 +173,27 @@ def build_problem(
     (bound defaults to n).  Raises SolveTimeout when the ``perf_counter``
     deadline has passed; it is checked only between compiled rules, so
     compilation can overshoot it by one rule's signature pass (and by the
-    world-set and signature passes before the first rule)."""
+    world-set, signature and sorting passes before the first rule)."""
     parts = build_partitions(kb)
-    n = parts.n
+    n = kb.n
     if bound is None:
         bound = n
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    world_sigs = world_signatures(parts.falsifying, parts.num_atoms)
-    distinct = set(world_sigs)
+    world_sigs = world_signatures(parts.falsifying, kb.m)
+    order = sorted(set(world_sigs))
     verifying_sigs = []
     falsifying_sigs = []
-    degenerate = []
     for i in range(n):
         if deadline is not None and perf_counter() > deadline:
             raise SolveTimeout
         bit = 1 << i
+        # A world falsifies rule i exactly when its signature holds bit i;
+        # dropping that common bit from the F-candidates keeps their order.
         verified = set(compress(world_sigs, selector(parts.verifying[i])))
-        vmasks = {s & ~bit for s in verified}
-        # A world falsifies rule i exactly when its signature holds bit i.
-        fmasks = {s & ~bit for s in distinct if s & bit}
-        verifying_sigs.append(_minimal_signatures(vmasks))
-        falsifying_sigs.append(_minimal_signatures(fmasks))
-        if not vmasks:
-            degenerate.append(i + 1)
-    return CRProblem(
-        bound=bound,
-        world_sigs=world_sigs,
-        verifying_sigs=tuple(verifying_sigs),
-        falsifying_sigs=tuple(falsifying_sigs),
-        degenerate_rules=tuple(degenerate),
-    )
+        verifying_sigs.append(_minimal_signatures([s for s in order if s in verified]))
+        falsifying_sigs.append(_minimal_signatures([s & ~bit for s in order if s & bit]))
+    return CRProblem(bound, world_sigs, tuple(verifying_sigs), tuple(falsifying_sigs))
 
 
 def _min_sig_sum(sigs: _SigSet, values) -> int:

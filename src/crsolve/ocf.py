@@ -97,15 +97,14 @@ def induced_ocf(kb: KnowledgeBase, v: KappaVector) -> RankingFunction:
     """Materialize the ranking induced by v: each world's rank is the sum
     of v[i] over the rules it falsifies.  v need not be a solution, but its
     components must be natural numbers."""
-    parts = build_partitions(kb)
-    if len(v) != parts.n:
-        raise ValueError(f"vector has length {len(v)}, expected {parts.n}")
+    if len(v) != kb.n:
+        raise ValueError(f"vector has length {len(v)}, expected {kb.n}")
     if v and min(v) < 0:
         raise ValueError(f"vector has a negative component: {min(v)}")
     # Byte w of column g holds the rules 8g..8g+7 that world w falsifies,
     # so the rank of w sums one subset sum per column.
-    ranks = repeat(0, parts.num_worlds)
-    for g, column in enumerate(signature_columns(parts.falsifying, kb.m)):
+    ranks = repeat(0, 1 << kb.m)
+    for g, column in enumerate(signature_columns(build_partitions(kb).falsifying, kb.m)):
         sums = _subset_sums(v[8 * g : 8 * g + 8])
         ranks = map(add, ranks, map(sums.__getitem__, column))
     return RankingFunction(tuple(ranks), kb)

@@ -27,10 +27,6 @@ from .kb import Atom, Formula, KnowledgeBase, Term
 WorldSet = int
 
 
-def world_count(m: int) -> int:
-    return 1 << m
-
-
 def full_set(m: int) -> WorldSet:
     """The set of all 2**m worlds."""
     return (1 << (1 << m)) - 1
@@ -65,13 +61,12 @@ def signature_columns(sets: Sequence[WorldSet], m: int) -> list[bytes]:
     1 << k and read as a big-endian int, so world w lands in byte w from
     the low end; the eight ints of a group are OR-ed together.
     """
-    n_worlds = world_count(m)
     columns = []
     for group in range(0, len(sets), 8):
         column = 0
         for k, ws in enumerate(sets[group : group + 8]):
             column |= int.from_bytes(bin(ws)[2:].encode().translate(_BIT_OF_BYTE[k]), "big")
-        columns.append(column.to_bytes(n_worlds, "little"))
+        columns.append(column.to_bytes(1 << m, "little"))
     return columns
 
 
@@ -83,7 +78,7 @@ def world_signatures(sets: Sequence[WorldSet], m: int) -> tuple[int, ...]:
     width = 1
     while width < len(columns):
         width *= 2
-    table = bytearray(world_count(m) * width)
+    table = bytearray((1 << m) * width)
     for g, column in enumerate(columns):
         table[(g if sys.byteorder == "little" else width - 1 - g) :: width] = column
     return tuple(memoryview(table).cast("BHIQ"[width.bit_length() - 1]))
@@ -133,17 +128,8 @@ class FalsificationMatrix:
     fails); the two sets are disjoint by construction.
     """
 
-    num_atoms: int
     verifying: tuple[WorldSet, ...]
     falsifying: tuple[WorldSet, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.verifying)
-
-    @property
-    def num_worlds(self) -> int:
-        return world_count(self.num_atoms)
 
 
 def build_partitions(kb: KnowledgeBase) -> FalsificationMatrix:
@@ -156,7 +142,7 @@ def build_partitions(kb: KnowledgeBase) -> FalsificationMatrix:
         wb = formula_worlds(c.consequent)
         verifying.append(wa & wb)
         falsifying.append(wa & (full ^ wb))
-    return FalsificationMatrix(kb.m, tuple(verifying), tuple(falsifying))
+    return FalsificationMatrix(tuple(verifying), tuple(falsifying))
 
 
 def world_str(atoms: tuple[Atom, ...], w: int) -> str:

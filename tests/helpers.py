@@ -113,6 +113,26 @@ def compile_ref(kb: KnowledgeBase) -> tuple[list[list[int]], list[set[int]]]:
     return verifying, [set(ws) for ws in falsifying]
 
 
+def minimal_sigs_ref(kb: KnowledgeBase) -> tuple[list[set[tuple[int, ...]]], list[set[tuple[int, ...]]]]:
+    """Per rule i, the subset-minimal sets of other rules falsified together
+    at a world verifying rule i, and at a world falsifying it; each set is
+    an ascending tuple of 0-based rule indices.  Built world by world from
+    ``partitions_ref``, minimality by comparing every pair of candidates."""
+    verifying, falsifying = partitions_ref(kb)
+    fsets = [set(ws) for ws in falsifying]
+
+    def minimal(i: int, worlds: list[int]) -> set[tuple[int, ...]]:
+        candidates = {
+            frozenset(j for j in range(kb.n) if j != i and w in fsets[j]) for w in worlds
+        }
+        return {tuple(sorted(c)) for c in candidates if not any(d < c for d in candidates)}
+
+    return (
+        [minimal(i, ws) for i, ws in enumerate(verifying)],
+        [minimal(i, ws) for i, ws in enumerate(falsifying)],
+    )
+
+
 def check_ref(kb, v, compiled=None) -> bool:
     """Textbook constraint check: for every rule i, v[i] must exceed the
     difference of the two minima of other-rule falsification sums."""

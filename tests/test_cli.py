@@ -247,6 +247,22 @@ class TestErrorHandling:
         assert main(["solve", "--mode", "all", str(path)]) == 2
         assert "unknown atom" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--mode", "min"],
+            ["solve", "--mode", "min-all", "--json"],
+            ["query", "--min", "(f | b)"],
+            ["check", "--vector", "1,0,1"],
+        ],
+    )
+    def test_byte_order_mark_is_ignored(self, argv, birds_file, tmp_path, capsys):
+        bom_file = tmp_path / "birds-bom.kb"
+        bom_file.write_bytes("\ufeff".encode("utf-8") + BIRDS_TEXT.encode("utf-8"))
+        plain = main(argv + [birds_file]), capsys.readouterr().out
+        assert main(argv + [str(bom_file)]) == plain[0] == 0
+        assert capsys.readouterr().out == plain[1]
+
     def test_usage_error(self, capsys):
         assert main([]) == 2
 

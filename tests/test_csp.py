@@ -12,9 +12,11 @@ from crsolve import (
     build_problem,
     check_solution,
     enumerate_solutions,
+    gen_synthetic,
     ocf_min,
     parse_kb,
     pareto_min,
+    render_kb,
     solve_min_sum,
 )
 from crsolve import csp
@@ -26,6 +28,7 @@ from tests.helpers import (
     check_ref,
     compile_ref,
     falsified_sum,
+    minimal_sigs_ref,
     non_dominated_ref,
     ocf_min_ref,
     random_kb_text,
@@ -66,6 +69,21 @@ class TestBuildProblem:
     def test_degenerate_rules_detected(self):
         p = build_problem(parse_kb(DEGENERATE_TEXT))
         assert p.degenerate_rules == (1,)
+
+
+class TestMinimalSignatures:
+    def test_antichains_match_brute_force(self):
+        rng = random.Random(31337)
+        kbs = [parse_kb(random_kb_text(rng, 4, 6)) for _ in range(120)]
+        kbs += [parse_kb(BIRDS_TEXT)] + [gen_synthetic(n, 0) for n in range(2, 9)]
+        for kb in kbs:
+            problem = build_problem(kb)
+            ref_v, ref_f = minimal_sigs_ref(kb)
+            for got, want in zip(problem.verifying_sigs + problem.falsifying_sigs, ref_v + ref_f):
+                assert len(got) == len(set(got))
+                assert set(got) == want, render_kb(kb)
+                # An antichain: no member is contained in another.
+                assert not any(a != b and set(a) <= set(b) for a in got for b in got)
 
 
 class TestFalsifiedSum:
@@ -355,6 +373,30 @@ class TestOracleEquivalence:
         first = enumerate_solutions(build_problem(penguins), limit=20).vectors
         second = enumerate_solutions(build_problem(penguins), limit=20).vectors
         assert first == second
+
+
+class TestDefaultBox:
+    def test_minimal_solutions_fit_the_default_box(self):
+        # The default bound n never cuts off a sum- or Pareto-minimal
+        # solution: widening the box to 2n + 3 finds the same ones.
+        rng = random.Random(20261018)
+        feasible = 0
+        for _ in range(400):
+            kb = parse_kb(random_kb_text(rng, 4, 5))
+            default = build_problem(kb)
+            wide = build_problem(kb, bound=2 * kb.n + 3)
+            for solver in (all_min_sum, pareto_min):
+                try:
+                    narrow_result = solver(default)
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        solver(wide)
+                    continue
+                wide_result = solver(wide)
+                assert narrow_result.vectors == wide_result.vectors, render_kb(kb)
+                assert narrow_result.minimal_sum == wide_result.minimal_sum
+                feasible += solver is pareto_min
+        assert feasible >= 100
 
 
 class TestDeadline:
