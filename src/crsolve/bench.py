@@ -15,7 +15,7 @@ from time import perf_counter
 from typing import IO, Iterable
 
 from .csp import InfeasibleError, SolveTimeout, all_min_sum, build_problem
-from .kb import KnowledgeBase, parse_kb
+from .kb import MAX_ATOMS, KnowledgeBase, parse_kb
 
 CSV_COLUMNS = ("kb_name", "vars", "conditionals", "operation", "wall_time_s", "solutions_found")
 
@@ -42,8 +42,8 @@ def gen_synthetic(n: int, j: int = 0) -> KnowledgeBase:
     Atoms are (f, a1, ..., an); rules are (f|a1), (!f|a2), ... alternating
     for i = 1..n, then the chain (a1|a2), ..., (a_{n-1}|a_n).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= MAX_ATOMS - 1:
+        raise ValueError(f"n must be in [1, {MAX_ATOMS - 1}]")
     if not 0 <= j <= 2 * n - 2:
         raise ValueError(f"j must be in [0, {2 * n - 2}] for n={n}")
     lines = ["vars: " + ", ".join(["f"] + [f"a{i}" for i in range(1, n + 1)])]

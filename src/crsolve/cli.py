@@ -79,7 +79,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         for v in result.vectors:
             print(" ".join(str(x) for x in v))
-    return 0 if result.vectors else 1
+    if not result.vectors:
+        raise InfeasibleError(problem.bound, problem.degenerate_rules)
+    return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:

@@ -26,19 +26,20 @@ which lists every signature after its proper subsets; each rule's
 candidates are filtered from that list in order, and the antichain is
 peeled off its front (``_minimal_signatures``).
 
-One labelling engine serves every solver.  It runs bounds propagation at
-every search node:
+One labelling engine serves every solver.  Every search node, the root
+included, runs bounds propagation on entry:
 
     lo_i <- max(lo_i, 1 + min_sig(V_i, lo) - min_sig(F_i, hi))
 
 which is monotone and terminates; values are labelled in rule order,
 ascending, so solutions stream in lexicographic order.  The assigned
 prefix plus the lower bounds of the remaining variables bound every
-completion of a node from below, and each solver differs only in a cut
-on those bounds, which sees the solutions yielded so far: none for all
-solutions; sum(lo) >= best sum for one sum-minimal solution; sum(lo) >
-best sum for all of them, in one pass that keeps ties and restarts on a
-smaller sum; a frontier vector <= lo for the Pareto-minimal ones.
+completion of a node from below.  After propagation the node asks a cut
+on those bounds; each solver differs only in that cut, which sees the
+solutions yielded so far: none for all solutions; sum(lo) >= best sum
+for one sum-minimal solution; sum(lo) > best sum for all of them, in one
+pass that keeps ties and restarts on a smaller sum; a frontier vector
+<= lo for the Pareto-minimal ones.
 
 Minimal solutions without enumerating the box.  If v <= u componentwise
 and v != u, then v precedes u lexicographically, so the search meets every
@@ -251,20 +252,19 @@ def _search(
     deadline: float | None = None,
 ) -> Iterator[KappaVector]:
     """Depth-first labelling in rule order, values ascending; yields the
-    box solutions in lexicographic order, skipping every node whose lower
-    bounds ``cut`` rejects.  The cut is asked again at each node, so it may
-    tighten as the caller consumes solutions."""
+    box solutions in lexicographic order.  Every node, the root included,
+    is propagated on entry and skipped with its subtree when propagation
+    fails or ``cut`` rejects its lower bounds.  The cut is asked again at
+    each node, so it may tighten as the caller consumes solutions."""
     vsigs = p.verifying_sigs
     fsigs = p.falsifying_sigs
     n = len(vsigs)
-    lo = [0] * n
-    hi = [p.bound] * n
-    if not _propagate_box(lo, hi, vsigs, fsigs):
-        return
 
     def rec(idx: int, lo: list[int], hi: list[int]) -> Iterator[KappaVector]:
         if deadline is not None and perf_counter() > deadline:
             raise SolveTimeout
+        if not _propagate_box(lo, hi, vsigs, fsigs) or (cut is not None and cut(lo)):
+            return
         if idx == n:
             yield tuple(lo)
             return
@@ -275,13 +275,9 @@ def _search(
             # A larger value only raises the bounds, so a cut here is final.
             if cut is not None and cut(lo2):
                 break
-            if not _propagate_box(lo2, hi2, vsigs, fsigs):
-                continue
-            if cut is not None and cut(lo2):
-                continue
             yield from rec(idx + 1, lo2, hi2)
 
-    yield from rec(0, lo, hi)
+    yield from rec(0, [0] * n, [p.bound] * n)
 
 
 def enumerate_solutions(
@@ -328,20 +324,6 @@ def all_min_sum(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     return SolutionSet(SolutionOrdering.SUM, p.bound, tuple(vectors), minimal_sum=minimal)
 
 
-def _non_dominated(vectors: list[KappaVector]) -> list[KappaVector]:
-    """Componentwise non-dominated subset of distinct vectors.
-
-    Processing by ascending component sum means any dominator of v is seen
-    before v, and dominators are never themselves dominated when checked,
-    so comparing against the running frontier suffices.
-    """
-    frontier: list[KappaVector] = []
-    for v in sorted(vectors, key=lambda x: (sum(x), x)):
-        if not _dominated(frontier, v):
-            frontier.append(v)
-    return sorted(frontier)
-
-
 def pareto_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     """Solutions not componentwise-dominated by any other solution in the
     box (a partial order: the result can be larger than the sum-minimal
@@ -361,12 +343,16 @@ def ocf_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     by another solution's (dominance requires the two rankings to differ
     somewhere; vectors inducing identical rankings are all retained)."""
     frontier = pareto_min(p, deadline=deadline).vectors
-    sig_indices = [tuple(iter_bits(sig)) for sig in sorted(set(p.world_sigs))]
+    sig_indices = [tuple(iter_bits(sig)) for sig in set(p.world_sigs)]
     by_ranking: dict[tuple[int, ...], list[KappaVector]] = {}
     for v in frontier:
         ranking = tuple(sum(v[j] for j in sig) for sig in sig_indices)
         by_ranking.setdefault(ranking, []).append(v)
-    surviving = _non_dominated(list(by_ranking))
+    surviving: list[tuple[int, ...]] = []
+    # The rankings are distinct, so a dominating one has a strictly smaller sum.
+    for ranking in sorted(by_ranking, key=sum):
+        if not _dominated(surviving, ranking):
+            surviving.append(ranking)
     # A rule that no world falsifies has no falsifying signature; its
     # component takes every value of its box range without changing a rank.
     free = [None if fs else range(p.bound + 1) for fs in p.falsifying_sigs]

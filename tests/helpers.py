@@ -156,6 +156,41 @@ def check_ref(kb, v, compiled=None) -> bool:
     return True
 
 
+def propagate_ref(kb, lo, hi, compiled=None) -> list[int] | None:
+    """Least fixpoint of the lower bounds in the box [lo, hi], or None when
+    none fits under hi.  Textbook bounds: rule i needs v[i] above its
+    verifying minimum at lo minus its falsifying minimum at hi, both as
+    world-level sums of the other rules' bounds; a rule with no verifying
+    world fits no box.  Jacobi iteration: every floor of a sweep is read
+    from the same lower bounds."""
+    verifying, fsets = compiled if compiled is not None else compile_ref(kb)
+    if not all(verifying):
+        return None
+    n = kb.n
+    lo = list(lo)
+
+    def other_sum(i: int, w: int, values) -> int:
+        return sum(values[j] for j in range(n) if j != i and w in fsets[j])
+
+    while True:
+        floors = [
+            max(
+                lo[i],
+                min(other_sum(i, w, lo) for w in verifying[i])
+                - min(other_sum(i, w, hi) for w in fsets[i])
+                + 1,
+            )
+            if fsets[i]
+            else lo[i]
+            for i in range(n)
+        ]
+        if any(f > h for f, h in zip(floors, hi)):
+            return None
+        if floors == lo:
+            return lo
+        lo = floors
+
+
 def falsified_sum(p: CRProblem, i: int, w: int, v: tuple[int, ...]) -> int:
     """Sum of v[j] over rules j != i (1-based ids) falsified at world w,
     read from the compiled ``world_sigs``."""

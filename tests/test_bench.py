@@ -56,6 +56,13 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic(n, j)
 
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_too_many_atoms(self, n):
+        # kb(n) has n + 1 atoms; the parser's limit would report a column of
+        # generated text instead.
+        with pytest.raises(ValueError, match=r"^n must be in \[1, 19\]$"):
+            gen_synthetic(n)
+
 
 class TestChainStructure:
     @pytest.mark.parametrize("n", [2, 3])

@@ -86,6 +86,23 @@ class TestSolve:
         assert main(["solve", "--mode", "all", contradictory_file]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "flags, out",
+        [([], ""), (["--json"], '{"ordering": "all", "bound": 1, "solutions": []}\n')],
+        ids=["text", "json"],
+    )
+    def test_all_infeasible_reports_like_other_modes(self, flags, out, tmp_path, capsys):
+        path = tmp_path / "degen.kb"
+        path.write_text("vars: a\nrule: (!a | a)\n")
+        assert main(["solve", "--mode", "min", str(path)]) == 1
+        expected_err = capsys.readouterr().err
+        assert main(["solve", "--mode", "all", *flags, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == expected_err
+        assert expected_err.startswith("error: infeasible_within_bound: ")
+        assert expected_err.endswith("degenerate rule(s) with no verifying world: 1\n")
+
     def test_degenerate_rule_reported(self, tmp_path, capsys):
         path = tmp_path / "degen.kb"
         path.write_text("vars: a\nrule: (a | bot)\n")
@@ -234,6 +251,10 @@ class TestBench:
 
     def test_bad_range(self, capsys):
         assert main(["bench", "--n-from", "3", "--n-to", "2"]) == 2
+
+    def test_n_beyond_atom_limit(self, capsys):
+        assert main(["bench", "--n-from", "20", "--n-to", "20"]) == 2
+        assert capsys.readouterr().err == "error: n must be in [1, 19]\n"
 
 
 class TestErrorHandling:

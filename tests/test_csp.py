@@ -31,6 +31,7 @@ from tests.helpers import (
     minimal_sigs_ref,
     non_dominated_ref,
     ocf_min_ref,
+    propagate_ref,
     random_kb_text,
 )
 
@@ -191,6 +192,27 @@ class TestPropagate:
             _, lo, hi = propagate_box(p)
             assert all(x >= 0 for x in lo)
             assert all(x <= p.bound for x in hi)
+
+    def test_least_fixpoint_matches_reference(self):
+        # Search-shaped boxes: a random prefix of the variables is fixed
+        # (lo = hi), the rest spans [0, bound].  A propagator that stops
+        # short of the fixpoint leaves some lower bound below the reference.
+        rng = random.Random(4711)
+        kbs = [parse_kb(random_kb_text(rng, 4, 6)) for _ in range(150)]
+        kbs += [gen_synthetic(n, j) for n in range(2, 9) for j in (0, 2) if j <= 2 * n - 2]
+        for kb in kbs:
+            p = build_problem(kb)
+            compiled = compile_ref(kb)
+            for _ in range(6 if kb.m <= 5 else 3):
+                k = rng.randint(0, p.n)
+                prefix = [rng.randint(0, p.bound) for _ in range(k)]
+                lo = prefix + [0] * (p.n - k)
+                hi = prefix + [p.bound] * (p.n - k)
+                want = propagate_ref(kb, lo, hi, compiled)
+                feasible, got, _ = propagate_box(p, lo, hi)
+                assert feasible == (want is not None), (render_kb(kb), lo, hi)
+                if feasible:
+                    assert got == want, (render_kb(kb), lo, hi)
 
 
 class TestEnumerate:

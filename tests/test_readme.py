@@ -1,7 +1,13 @@
 """The README's documented usage, run as written."""
 
 import ast
+import shlex
 from pathlib import Path
+
+import pytest
+
+from crsolve import parse_kb
+from crsolve.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +20,31 @@ def test_quick_start_accepts():
     namespace: dict = {}
     exec(compile(ast.Module(body, type_ignores=[]), str(README), "exec"), namespace)
     assert eval(compile(ast.Expression(last.value), str(README), "eval"), namespace) is True
+
+
+def test_format_example_parses():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Knowledge-base format", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    kb = parse_kb(block)
+    assert kb.atom_names() == ("p", "b", "f", "w", "k")
+    assert kb.n == 2
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("crsolve solve --mode min-all kbs/birds.kb", "1 0 1\n1 1 0\n"),
+        (
+            'crsolve query --min "(w | k)" kbs/penguins.kb',
+            "ACCEPTED\nverifying rank: 0\nfalsifying rank: 1\n",
+        ),
+    ],
+    ids=["solve", "query"],
+)
+def test_cli_example(command, expected, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Example, using the bundled", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert command in [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    monkeypatch.chdir(README.parent)
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == expected
