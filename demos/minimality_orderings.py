@@ -18,7 +18,7 @@ from crsolve import (
     ocf_min,
     parse_kb,
     pareto_min,
-    world_str,
+    world_names,
 )
 
 kb_path = Path(__file__).resolve().parent.parent / "kbs" / "birds.kb"
@@ -55,9 +55,10 @@ print()
 # The two sum-minimal vectors are componentwise incomparable, yet their
 # induced rankings are not: one ranking sits below the other everywhere.
 print("=== Why the ranking order breaks the tie ===")
+names = world_names(kb.atoms, " ")
 for v in minima.vectors:
     ranking = induced_ocf(kb, v)
-    nonzero = {world_str(kb.atoms, w): r for w, r in enumerate(ranking.ranks) if r}
+    nonzero = {names[w]: r for w, r in enumerate(ranking.ranks) if r}
     print(f"  {v} ranks the exceptional worlds as {nonzero}")
 print()
 print("Both vectors punish the same three worlds, but (1, 0, 1) never")

@@ -52,7 +52,7 @@ from .worlds import (
     WorldSet,
     build_partitions,
     formula_worlds,
-    world_str,
+    world_names,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +100,7 @@ __all__ = [
     "render_table",
     "run_bench",
     "solve_min_sum",
-    "world_str",
+    "world_names",
     "write_csv",
     "__version__",
 ]

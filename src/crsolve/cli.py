@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="give up after SECONDS (exit 3); checked between compiled rules and at every search node",
+        help="give up after SECONDS (exit 3); checked between compiled rules, at every search node and expanded vector",
     )
     solve.add_argument("--json", action="store_true")
     solve.add_argument("file")

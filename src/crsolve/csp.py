@@ -355,11 +355,14 @@ def ocf_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
             surviving.append(ranking)
     # A rule that no world falsifies has no falsifying signature; its
     # component takes every value of its box range without changing a rank.
+    # That can outgrow the search, so the deadline is checked per vector.
     free = [None if fs else range(p.bound + 1) for fs in p.falsifying_sigs]
-    kept = sorted(
-        expanded
-        for ranking in surviving
-        for v in by_ranking[ranking]
-        for expanded in product(*((x,) if r is None else r for r, x in zip(free, v)))
-    )
+    kept = []
+    for ranking in surviving:
+        for v in by_ranking[ranking]:
+            for expanded in product(*((x,) if r is None else r for r, x in zip(free, v))):
+                if deadline is not None and perf_counter() > deadline:
+                    raise SolveTimeout
+                kept.append(expanded)
+    kept.sort()
     return SolutionSet(SolutionOrdering.INDUCED_OCF, p.bound, tuple(kept))

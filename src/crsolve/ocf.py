@@ -13,24 +13,24 @@ INFINITY; a conditional (B|A) is accepted iff A-and-B ranks strictly below
 A-and-not-B.  INFINITY is an explicit value, not a sentinel number, and
 compares greater than every natural (never greater than itself).
 
+World sets, per-world sums and world labels all come from ``worlds``.
 RankingFunction is immutable; all queries are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import add
+from itertools import compress
 
 from .csp import KappaVector
 from .kb import Conditional, Formula, KnowledgeBase
 from .worlds import (
     build_partitions,
+    conditional_worlds,
     formula_worlds,
-    full_set,
     selector,
-    signature_columns,
     world_names,
+    world_sums,
 )
 
 
@@ -85,14 +85,6 @@ class RankingFunction:
     kb: KnowledgeBase
 
 
-def _subset_sums(values: KappaVector) -> list[int]:
-    # Entry s is the sum of values[k] over the set bits k of s.
-    sums = [0]
-    for x in values:
-        sums += [s + x for s in sums]
-    return sums
-
-
 def induced_ocf(kb: KnowledgeBase, v: KappaVector) -> RankingFunction:
     """Materialize the ranking induced by v: each world's rank is the sum
     of v[i] over the rules it falsifies.  v need not be a solution, but its
@@ -101,19 +93,11 @@ def induced_ocf(kb: KnowledgeBase, v: KappaVector) -> RankingFunction:
         raise ValueError(f"vector has length {len(v)}, expected {kb.n}")
     if v and min(v) < 0:
         raise ValueError(f"vector has a negative component: {min(v)}")
-    # Byte w of column g holds the rules 8g..8g+7 that world w falsifies,
-    # so the rank of w sums one subset sum per column.
-    ranks = repeat(0, 1 << kb.m)
-    for g, column in enumerate(signature_columns(build_partitions(kb).falsifying, kb.m)):
-        sums = _subset_sums(v[8 * g : 8 * g + 8])
-        ranks = map(add, ranks, map(sums.__getitem__, column))
-    return RankingFunction(tuple(ranks), kb)
+    return RankingFunction(world_sums(build_partitions(kb).falsifying, v, kb.m), kb)
 
 
 def _rank_of_set(r: RankingFunction, ws: int) -> Rank:
-    if not ws:
-        return INFINITY
-    return min(compress(r.ranks, selector(ws)))
+    return min(compress(r.ranks, selector(ws)), default=INFINITY)
 
 
 def rank_formula(r: RankingFunction, f: Formula) -> Rank:
@@ -123,21 +107,16 @@ def rank_formula(r: RankingFunction, f: Formula) -> Rank:
 
 def acceptance_ranks(r: RankingFunction, c: Conditional) -> tuple[Rank, Rank]:
     """(rank of A-and-B, rank of A-and-not-B) for conditional (B|A)."""
-    wa = formula_worlds(c.antecedent)
-    wb = formula_worlds(c.consequent)
-    full = full_set(r.kb.m)
-    return _rank_of_set(r, wa & wb), _rank_of_set(r, wa & (full ^ wb))
+    verifying, falsifying = conditional_worlds(c)
+    return _rank_of_set(r, verifying), _rank_of_set(r, falsifying)
 
 
 def rank_conditional(r: RankingFunction, c: Conditional) -> Rank:
     """Rank of (B|A): rank(A-and-B) minus rank(A), INFINITY when the
     antecedent is unsatisfiable.  Never negative."""
-    wa = formula_worlds(c.antecedent)
-    antecedent_rank = _rank_of_set(r, wa)
-    if antecedent_rank is INFINITY:
-        return INFINITY
-    verified_rank = _rank_of_set(r, wa & formula_worlds(c.consequent))
-    return verified_rank - antecedent_rank
+    verified, falsified = acceptance_ranks(r, c)
+    # rank(A) is the lesser of the two; INFINITY minus anything is INFINITY.
+    return verified - min(verified, falsified)
 
 
 def accepts(r: RankingFunction, c: Conditional) -> bool:

@@ -1,5 +1,8 @@
 """World semantics: formula evaluation over all 2**m interpretations.
 
+This module alone knows how worlds, world sets and per-world tables are
+encoded; the compiler and the ranking layer ask it, never decode them.
+
 Worlds are dense integers in ``[0, 2**m)``.  The atom with index i occupies
 bit (m - i) of the world index, so the first declared atom is the most
 significant bit and descending index order is conventional truth-table
@@ -8,7 +11,7 @@ reading order (the all-true world first).
 Sets of worlds are plain ints used as bitsets: bit w is set iff world w is
 in the set.  Every pass over the members of a set starts from its binary
 digits translated to one byte per world (``selector``,
-``signature_columns``): time linear in 2**m, spent in C (``bin`` and
+``_signature_columns``): time linear in 2**m, spent in C (``bin`` and
 ``bytes.translate``), never in a Python loop over the bits of a 2**m-bit
 int.
 Everything here is pure and immutable once built.
@@ -19,10 +22,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, product
+from itertools import compress, count, product, repeat
+from operator import add
 from typing import Iterator, Sequence
 
-from .kb import Atom, Formula, KnowledgeBase, Term
+from .kb import Atom, Conditional, Formula, KnowledgeBase, Term
 
 WorldSet = int
 
@@ -52,7 +56,7 @@ def iter_bits(bits: int) -> Iterator[int]:
     return compress(count(), selector(bits))
 
 
-def signature_columns(sets: Sequence[WorldSet], m: int) -> list[bytes]:
+def _signature_columns(sets: Sequence[WorldSet], m: int) -> list[bytes]:
     """Membership of the 2**m worlds in ``sets``, eight sets to a column:
     bit k of byte w of column g is set iff world w is in sets[8 * g + k].
 
@@ -70,11 +74,25 @@ def signature_columns(sets: Sequence[WorldSet], m: int) -> list[bytes]:
     return columns
 
 
+def world_sums(sets: Sequence[WorldSet], weights: Sequence[int], m: int) -> tuple[int, ...]:
+    """Per world w of 2**m, the sum of weights[j] over the sets j that hold w.
+
+    Byte w of signature column g names the sets 8g..8g+7 that hold w, so
+    each column adds one entry of the subset sums of its eight weights."""
+    sums = repeat(0, 1 << m)
+    for g, column in enumerate(_signature_columns(sets, m)):
+        table = [0]
+        for x in weights[8 * g : 8 * g + 8]:
+            table += [s + x for s in table]
+        sums = map(add, sums, map(table.__getitem__, column))
+    return tuple(sums)
+
+
 def world_signatures(sets: Sequence[WorldSet], m: int) -> tuple[int, ...]:
     """Per world w of 2**m, the bitmask of the indices j with w in sets[j],
     for at most 64 sets.  The signature columns are interleaved into an
     array of 1, 2, 4 or 8 bytes per world and read back as native ints."""
-    columns = signature_columns(sets, m)
+    columns = _signature_columns(sets, m)
     width = 1
     while width < len(columns):
         width *= 2
@@ -132,25 +150,17 @@ class FalsificationMatrix:
     falsifying: tuple[WorldSet, ...]
 
 
+def conditional_worlds(c: Conditional) -> tuple[WorldSet, WorldSet]:
+    """The worlds verifying (B|A), A-and-B, and falsifying it, A-and-not-B."""
+    wa = formula_worlds(c.antecedent)
+    wb = formula_worlds(c.consequent)
+    return wa & wb, wa & ~wb
+
+
 def build_partitions(kb: KnowledgeBase) -> FalsificationMatrix:
     """Compute each rule's verifying/falsifying world sets."""
-    full = full_set(kb.m)
-    verifying = []
-    falsifying = []
-    for c in kb.conditionals:
-        wa = formula_worlds(c.antecedent)
-        wb = formula_worlds(c.consequent)
-        verifying.append(wa & wb)
-        falsifying.append(wa & (full ^ wb))
-    return FalsificationMatrix(tuple(verifying), tuple(falsifying))
-
-
-def world_str(atoms: tuple[Atom, ...], w: int) -> str:
-    """Render a world as space-separated literals, e.g. ``p b -f w -k``."""
-    m = len(atoms)
-    return " ".join(
-        a.name if w & (1 << (m - a.index)) else "-" + a.name for a in atoms
-    )
+    splits = [conditional_worlds(c) for c in kb.conditionals]
+    return FalsificationMatrix(tuple(v for v, _ in splits), tuple(f for _, f in splits))
 
 
 def _literal_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
@@ -159,10 +169,10 @@ def _literal_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
 
 
 def world_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
-    """Every world's label, indexed by world: ``world_str`` for sep " ",
-    the compact JSON form (``pbfwk``, ``p-bfwk``) for sep "".  Each label is
-    one concatenation of two entries from tables over the high and the low
-    half of the atoms."""
+    """Every world's label, indexed by world: its literals, negated atoms
+    marked "-", joined by sep (``p b -f w k`` for sep " ", the compact
+    JSON form ``pb-fwk`` for sep "").  Each label is one concatenation of
+    two entries from tables over the high and the low half of the atoms."""
     half = len(atoms) // 2
     low = _literal_names(atoms[half:], sep)
     if not half:

@@ -20,7 +20,6 @@ from crsolve import (
     RankingFunction,
     Term,
     parse_kb,
-    world_str,
 )
 
 BIRDS_TEXT = """\
@@ -269,10 +268,16 @@ def render_table_ref(r: RankingFunction) -> str:
     return "\n".join(f"{s:<{width}}  {rank}" for s, rank in rows) + "\n"
 
 
+def world_str(atoms, w: int, sep: str = " ") -> str:
+    """A world as literals joined by sep, e.g. ``p b -f w -k``, tested
+    atom by atom against the world's bits."""
+    m = len(atoms)
+    return sep.join(a.name if w & (1 << (m - a.index)) else "-" + a.name for a in atoms)
+
+
 def world_str_compact(atoms, w: int) -> str:
     """A world as unseparated literals, e.g. ``pbfwk`` or ``p-bfwk``."""
-    m = len(atoms)
-    return "".join(a.name if w & (1 << (m - a.index)) else "-" + a.name for a in atoms)
+    return world_str(atoms, w, "")
 
 
 def ocf_records_ref(r: RankingFunction) -> list[dict]:

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from crsolve import world_str
 from crsolve.cli import main
 
-from tests.helpers import BIRDS_TEXT, PENGUINS_RANKS, PENGUINS_TEXT, penguins_kb
+from tests.helpers import BIRDS_TEXT, PENGUINS_RANKS, PENGUINS_TEXT, penguins_kb, world_str
 
 
 @pytest.fixture()

@@ -433,6 +433,22 @@ class TestDeadline:
         with pytest.raises(SolveTimeout):
             build_problem(birds, deadline=perf_counter() - 1.0)
 
+    def test_deadline_stops_free_rule_expansion(self, monkeypatch):
+        # No world falsifies these rules, so ocf_min expands each frontier
+        # vector over the whole box after the search.  Clock read k returns
+        # k, and the deadline is the number of reads the frontier search
+        # makes: only a read during the expansion can pass it.
+        problem = build_problem(parse_kb("vars: a, b, c\nrule: (top | a)\nrule: (top | b)\nrule: (top | c)\n"))
+        ticks = itertools.count(1)
+        monkeypatch.setattr(csp, "perf_counter", lambda: next(ticks))
+        pareto_min(problem, deadline=float("inf"))
+        searched = next(ticks) - 1
+        ticks = itertools.count(1)
+        assert pareto_min(problem, deadline=searched).vectors == ((0, 0, 0),)
+        ticks = itertools.count(1)
+        with pytest.raises(SolveTimeout):
+            ocf_min(problem, deadline=searched)
+
 
 class TestFrontierOracle:
     # Extra rules appended to random KBs: a rule no world falsifies (its

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from crsolve import (
@@ -10,12 +12,19 @@ from crsolve import (
     ocf_records,
     parse_conditional,
     parse_formula,
+    parse_kb,
     rank_conditional,
     rank_formula,
     render_table,
 )
 
-from tests.helpers import PENGUINS_RANKS, induced_ranks_ref
+from tests.helpers import (
+    PENGUINS_RANKS,
+    eval_formula_ref,
+    induced_ranks_ref,
+    random_formula_text,
+    random_kb_text,
+)
 
 VECTOR = (1, 2, 2, 1, 1)
 
@@ -121,6 +130,44 @@ class TestAccepts:
             neg = parse_conditional(neg_text, penguins.atoms)
             via_ranks = rank_conditional(penguin_ocf, pos) < rank_conditional(penguin_ocf, neg)
             assert accepts(penguin_ocf, pos) == via_ranks
+
+
+class TestConditionalRanksReference:
+    def test_random_queries(self):
+        # kappa(AB), kappa(A-not-B) and kappa(AB) - kappa(A), each a minimum
+        # over the reference ranks of the worlds that pass eval_formula_ref.
+        rng = random.Random(20261018)
+        infinite = 0
+        for _ in range(300):
+            kb = parse_kb(random_kb_text(rng, 4, 5))
+            names = list(kb.atom_names())
+            v = tuple(rng.randint(0, 4) for _ in range(kb.n))
+            ranks = induced_ranks_ref(kb, v)
+            r = induced_ocf(kb, v)
+            sides = [(random_formula_text(rng, names), random_formula_text(rng, names)) for _ in range(3)]
+            sides += [("bot", random_formula_text(rng, names)), (random_formula_text(rng, names), "bot")]
+            for ant, cons in sides:
+                c = parse_conditional(f"({cons} | {ant})", kb.atoms)
+
+                def kappa(want_consequent):
+                    return min(
+                        (
+                            rank
+                            for w, rank in enumerate(ranks)
+                            if eval_formula_ref(c.antecedent, kb, w)
+                            and want_consequent in (None, eval_formula_ref(c.consequent, kb, w))
+                        ),
+                        default=INFINITY,
+                    )
+
+                verified, falsified, antecedent = kappa(True), kappa(False), kappa(None)
+                assert acceptance_ranks(r, c) == (verified, falsified)
+                if antecedent is INFINITY:
+                    infinite += 1
+                    assert rank_conditional(r, c) is INFINITY
+                else:
+                    assert rank_conditional(r, c) == verified - antecedent
+        assert infinite >= 300
 
 
 class TestSolutionProperties:

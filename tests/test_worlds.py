@@ -5,10 +5,10 @@ from crsolve import (
     formula_worlds,
     parse_formula,
     parse_kb,
-    world_str,
+    world_names,
 )
 from crsolve.kb import Atom, Term
-from crsolve.worlds import full_set, iter_bits, world_names
+from crsolve.worlds import full_set, iter_bits
 
 from tests.helpers import eval_formula_ref, eval_term, indicator_ref, true_atoms
 
@@ -143,9 +143,10 @@ class TestBuildPartitions:
 
 class TestRendering:
     def test_world_str(self, penguins):
-        assert world_str(penguins.atoms, PBFWK) == "p b f w k"
-        assert world_str(penguins.atoms, P_B_NOTF_WK) == "p b -f w k"
-        assert world_str(penguins.atoms, 0) == "-p -b -f -w -k"
+        names = world_names(penguins.atoms, " ")
+        assert names[PBFWK] == "p b f w k"
+        assert names[P_B_NOTF_WK] == "p b -f w k"
+        assert names[0] == "-p -b -f -w -k"
 
     def test_world_str_compact(self, penguins):
         names = world_names(penguins.atoms, "")
