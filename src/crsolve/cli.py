@@ -29,7 +29,7 @@ from .csp import (
     pareto_min,
     solve_min_sum,
 )
-from .kb import KBSyntaxError, KnowledgeBase, parse_conditional, parse_kb
+from .kb import KnowledgeBase, parse_conditional, parse_kb
 from .ocf import acceptance_ranks, induced_ocf, ocf_records, render_table
 
 
@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="give up after SECONDS (exit 3); checked between compiled rules, at every search node and expanded vector",
+        help="give up after SECONDS (exit 3); checked after every compile pass and peel step, at every search node and expanded vector",
     )
     solve.add_argument("--json", action="store_true")
     solve.add_argument("file")
@@ -199,9 +199,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except KBSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleError as exc:
         print(f"error: infeasible_within_bound: {exc}", file=sys.stderr)
         return 1

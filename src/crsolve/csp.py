@@ -152,15 +152,22 @@ class CRProblem:
         return tuple(i + 1 for i, vs in enumerate(self.verifying_sigs) if not vs)
 
 
-def _minimal_signatures(masks: list[int]) -> _SigSet:
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and perf_counter() > deadline:
+        raise SolveTimeout
+
+
+def _minimal_signatures(masks: list[int], deadline: float | None) -> _SigSet:
     """Subset-minimal antichain of distinct rule-index bitmasks, as index
     tuples.  ``masks`` lists every mask after its proper subsets, as
     ascending numeric order does.  Peel: keep the first mask left, drop it
     and its supersets, repeat.  The first mask left is minimal: a proper
     subset of it came earlier and was dropped for holding a kept mask, so
-    the first mask holds that kept mask too and was dropped with it."""
+    the first mask holds that kept mask too and was dropped with it.
+    The deadline is checked before every peel step."""
     kept: list[int] = []
     while masks:
+        _check_deadline(deadline)
         low = masks[0]
         kept.append(low)
         masks = [s for s in masks if s & low != low]
@@ -172,28 +179,30 @@ def build_problem(
 ) -> CRProblem:
     """Compile CR(R): falsification signatures and the box [0, bound]^n
     (bound defaults to n).  Raises SolveTimeout when the ``perf_counter``
-    deadline has passed; it is checked only between compiled rules, so
-    compilation can overshoot it by one rule's signature pass (and by the
-    world-set, signature and sorting passes before the first rule)."""
+    deadline has passed; it is checked after the world-set, signature and
+    sorting passes, before each compiled rule and before every peel step
+    of ``_minimal_signatures``, so compilation overshoots it by at most
+    one such pass."""
     parts = build_partitions(kb)
     n = kb.n
     if bound is None:
         bound = n
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    _check_deadline(deadline)
     world_sigs = world_signatures(parts.falsifying, kb.m)
+    _check_deadline(deadline)
     order = sorted(set(world_sigs))
     verifying_sigs = []
     falsifying_sigs = []
     for i in range(n):
-        if deadline is not None and perf_counter() > deadline:
-            raise SolveTimeout
+        _check_deadline(deadline)
         bit = 1 << i
         # A world falsifies rule i exactly when its signature holds bit i;
         # dropping that common bit from the F-candidates keeps their order.
         verified = set(compress(world_sigs, selector(parts.verifying[i])))
-        verifying_sigs.append(_minimal_signatures([s for s in order if s in verified]))
-        falsifying_sigs.append(_minimal_signatures([s & ~bit for s in order if s & bit]))
+        verifying_sigs.append(_minimal_signatures([s for s in order if s in verified], deadline))
+        falsifying_sigs.append(_minimal_signatures([s & ~bit for s in order if s & bit], deadline))
     return CRProblem(bound, world_sigs, tuple(verifying_sigs), tuple(falsifying_sigs))
 
 
@@ -261,8 +270,7 @@ def _search(
     n = len(vsigs)
 
     def rec(idx: int, lo: list[int], hi: list[int]) -> Iterator[KappaVector]:
-        if deadline is not None and perf_counter() > deadline:
-            raise SolveTimeout
+        _check_deadline(deadline)
         if not _propagate_box(lo, hi, vsigs, fsigs) or (cut is not None and cut(lo)):
             return
         if idx == n:
@@ -361,8 +369,7 @@ def ocf_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     for ranking in surviving:
         for v in by_ranking[ranking]:
             for expanded in product(*((x,) if r is None else r for r, x in zip(free, v))):
-                if deadline is not None and perf_counter() > deadline:
-                    raise SolveTimeout
+                _check_deadline(deadline)
                 kept.append(expanded)
     kept.sort()
     return SolutionSet(SolutionOrdering.INDUCED_OCF, p.bound, tuple(kept))

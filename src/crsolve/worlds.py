@@ -14,26 +14,25 @@ digits translated to one byte per world (``selector``,
 ``_signature_columns``): time linear in 2**m, spent in C (``bin`` and
 ``bytes.translate``), never in a Python loop over the bits of a 2**m-bit
 int.
-Everything here is pure and immutable once built.
+
+A DNF term's models are the world of its positive literals completed by
+every assignment to the atoms the term leaves free: starting from the
+set {0}, each free bit doubles the set by a shift and an OR, and the
+result is shifted onto the positive literals.  Nothing is cached between
+calls; every function here is pure.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, count, product, repeat
 from operator import add
 from typing import Iterator, Sequence
 
-from .kb import Atom, Conditional, Formula, KnowledgeBase, Term
+from .kb import Atom, Conditional, Formula, KnowledgeBase
 
 WorldSet = int
-
-
-def full_set(m: int) -> WorldSet:
-    """The set of all 2**m worlds."""
-    return (1 << (1 << m)) - 1
 
 
 # Translations of bin() digits to bytes: 0/1 for selectors, and 0/(1 << k)
@@ -102,38 +101,20 @@ def world_signatures(sets: Sequence[WorldSet], m: int) -> tuple[int, ...]:
     return tuple(memoryview(table).cast("BHIQ"[width.bit_length() - 1]))
 
 
-@lru_cache(maxsize=None)
-def _bit_column(m: int, k: int) -> WorldSet:
-    # Worlds whose index has bit k set: blocks of 2**k clear then 2**k set,
-    # replicated across all 2**m worlds by doubling.
-    block = 1 << k
-    pattern = ((1 << block) - 1) << block
-    span = 2 * block
-    total = 1 << m
-    while span < total:
-        pattern |= pattern << span
-        span *= 2
-    return pattern
-
-
-def term_worlds(t: Term) -> WorldSet:
-    if t.pos & t.neg:
-        return 0
-    m = t.width
-    ws = full_set(m)
-    for k in range((t.pos | t.neg).bit_length()):
-        if (t.pos >> k) & 1:
-            ws &= _bit_column(m, k)
-        elif (t.neg >> k) & 1:
-            ws &= ~_bit_column(m, k)
-    return ws
-
-
 def formula_worlds(f: Formula) -> WorldSet:
     """The set of worlds satisfying the formula (union over DNF terms)."""
     ws = 0
     for t in f.terms:
-        ws |= term_worlds(t)
+        if t.pos & t.neg:
+            continue
+        # The subset sums of the free bits, one doubling per free bit.
+        sums = 1
+        free = ((1 << t.width) - 1) & ~(t.pos | t.neg)
+        while free:
+            low = free & -free
+            sums |= sums << low
+            free ^= low
+        ws |= sums << t.pos
     return ws
 
 

@@ -58,6 +58,11 @@ def penguins_kb() -> KnowledgeBase:
     return parse_kb(PENGUINS_TEXT)
 
 
+def full_set(m: int) -> int:
+    """The set of all 2**m worlds, as a bitset."""
+    return (1 << (1 << m)) - 1
+
+
 def true_atoms(kb: KnowledgeBase, w: int) -> set[str]:
     m = kb.m
     return {a.name for a in kb.atoms if (w >> (m - a.index)) & 1}

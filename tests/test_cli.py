@@ -1,12 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from crsolve.cli import main
 
 from tests.helpers import BIRDS_TEXT, PENGUINS_RANKS, PENGUINS_TEXT, penguins_kb, world_str
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -291,3 +297,30 @@ class TestErrorHandling:
 
     def test_query_requires_vector_source(self, penguins_file, capsys):
         assert main(["query", "(w | k)", penguins_file]) == 2
+
+
+class TestProcessExitStatus:
+    # The module run as a program exits with the code that main returns.
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["solve", "--mode", "min-all", "kbs/birds.kb"], 0),
+            (["check", "--vector", "0,0,0,0,0", "kbs/penguins.kb"], 1),
+            (["solve", "--mode", "min", "kbs/missing.kb"], 2),
+            (["solve", "--mode", "min", "--timeout", "1e-9", "kbs/birds.kb"], 3),
+        ],
+        ids=["0", "1", "2", "3"],
+    )
+    def test_exit_status(self, argv, status):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "crsolve.cli", *argv],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == status, run.stderr
+        if status == 0:
+            assert run.stdout == "1 0 1\n1 1 0\n"

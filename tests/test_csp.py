@@ -433,6 +433,23 @@ class TestDeadline:
         with pytest.raises(SolveTimeout):
             build_problem(birds, deadline=perf_counter() - 1.0)
 
+    def test_deadline_stops_last_peel(self, birds, monkeypatch):
+        # The clock passes the deadline inside the last of the 2n calls,
+        # after every check between rules has been made.
+        now = [0.0]
+        monkeypatch.setattr(csp, "perf_counter", lambda: now[0])
+        calls = itertools.count(1)
+        peel = csp._minimal_signatures
+
+        def late_peel(masks, *args):
+            if next(calls) == 2 * birds.n:
+                now[0] = 2.0
+            return peel(masks, *args)
+
+        monkeypatch.setattr(csp, "_minimal_signatures", late_peel)
+        with pytest.raises(SolveTimeout):
+            build_problem(birds, deadline=1.0)
+
     def test_deadline_stops_free_rule_expansion(self, monkeypatch):
         # No world falsifies these rules, so ocf_min expands each frontier
         # vector over the whole box after the search.  Clock read k returns

@@ -29,6 +29,7 @@ KBS = {
     "free2": str(GOLDEN / "free2.kb"),
     "unsat": str(GOLDEN / "unsat.kb"),
 }
+NORULES = str(GOLDEN / "norules.kb")
 MODES = ("all", "min", "min-all", "pareto", "ocf-min")
 
 
@@ -62,8 +63,12 @@ def _cli_cases() -> dict[str, list[str]]:
             "check-invalid": ["check", "--vector", "0,0,0,0,0", KBS["penguins"]],
             "check-valid-free2": ["check", "--vector", "1,0,7", KBS["free2"]],
             "check-invalid-unsat": ["check", "--vector", "0", KBS["unsat"]],
+            "check-empty-vector-norules": ["check", "--vector", "", NORULES],
+            "show-ocf-empty-vector-norules": ["show-ocf", "--vector", "", NORULES],
         }
     )
+    for mode in MODES[1:]:
+        cases[f"solve-{mode}-birds-limit1"] = ["solve", "--mode", mode, "--limit", "1", KBS["birds"]]
     return cases
 
 

@@ -77,6 +77,8 @@ class TestParseKBErrors:
             ("vars: a\nrule: (a | )", 2, "empty antecedent"),
             ("vars: a\nrule: (!(a) | top)", 2, "negation applies only"),
             ("vars: a\nrule: ((a, | top)", 2, "expected an atom"),
+            ("vars: a\nrule: ((a | top)", 2, "expected ')'"),
+            ("vars: a\nrule: (a | top", 2, "expected ')' closing the conditional"),
             ("vars: a\nwhat is this", 2, "expected a 'vars:' or 'rule'"),
             ("# only a comment\n", 2, "missing vars"),
         ],
@@ -158,6 +160,9 @@ class TestParseConditional:
         assert c.id == 0
         assert c.consequent.terms == (Term(5, bit(5, 4), 0),)
         assert c.antecedent.terms == (Term(5, 0 | bit(5, 5), 0),)
+
+    def test_leading_blanks_ignored(self, penguins):
+        assert parse_conditional(" \t (w | k)", penguins.atoms) == parse_conditional("(w | k)", penguins.atoms)
 
 
 class TestRoundTrip:

@@ -194,6 +194,10 @@ class TestInfinity:
         assert INFINITY != 7
         assert 7 != INFINITY
 
+    def test_hashable_in_rank_tuples(self):
+        assert hash(INFINITY) == hash(INFINITY)
+        assert len({(0, INFINITY), (0, INFINITY), (INFINITY, 0)}) == 2
+
     def test_arithmetic(self):
         assert INFINITY - 3 is INFINITY
         assert INFINITY + 3 is INFINITY

@@ -24,13 +24,14 @@ from crsolve import (
     render_table,
 )
 from crsolve.csp import _propagate_box
-from crsolve.worlds import full_set, iter_bits, selector, world_signatures
+from crsolve.worlds import iter_bits, selector, world_signatures
 
 from tests.helpers import (
     bits_ref,
     brute_solutions,
     check_ref,
     compile_ref,
+    full_set,
     indicator_ref,
     induced_ranks_ref,
     ocf_records_ref,

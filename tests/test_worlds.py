@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from crsolve import (
@@ -8,9 +10,9 @@ from crsolve import (
     world_names,
 )
 from crsolve.kb import Atom, Term
-from crsolve.worlds import full_set, iter_bits
+from crsolve.worlds import iter_bits
 
-from tests.helpers import eval_formula_ref, eval_term, indicator_ref, true_atoms
+from tests.helpers import eval_formula_ref, eval_term, full_set, indicator_ref, true_atoms
 
 # Penguin worlds by name, p most significant.
 PBFWK = 0b11111
@@ -62,6 +64,35 @@ class TestFormulaWorlds:
         ws = formula_worlds(f)
         assert ws == expected
         assert ws.bit_count() == 8
+
+    @pytest.mark.parametrize("m", range(6, 21))
+    def test_matches_reference_up_to_twenty_atoms(self, m):
+        # Every world up to m = 10; above, the extreme worlds and a sample.
+        rng = random.Random(m)
+        names = [f"x{i}" for i in range(m)]
+        kb = parse_kb("vars: " + ", ".join(names) + "\n")
+        texts = [
+            "top",
+            "bot",
+            "!top ; !bot",
+            f"x0, !x0 ; x{m - 1}",
+            "x3, !x5, x3, !x3",
+            f"x1, !x2 ; !x1, x{m - 2}, x{m - 1} ; x4",
+        ]
+        for _ in range(6):
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                lits = rng.sample(names, rng.randint(1, 4))
+                terms.append(", ".join(("!" if rng.random() < 0.5 else "") + a for a in lits))
+            texts.append(" ; ".join(terms))
+        top = (1 << m) - 1
+        worlds = range(1 << m) if m <= 10 else [0, top, *rng.sample(range(1, top), 200)]
+        for text in texts:
+            f = parse_formula(text, kb.atoms)
+            ws = formula_worlds(f)
+            assert ws >> (1 << m) == 0, text
+            for w in worlds:
+                assert (ws >> w) & 1 == eval_formula_ref(f, kb, w), (text, w)
 
     def test_matches_set_based_evaluation(self, penguins):
         for text in ["p", "!k", "b, w", "p ; k", "b, (w ; !k)", "bot", "top", "p, !p"]:
