@@ -48,7 +48,6 @@ from .ocf import (
     render_table,
 )
 from .worlds import (
-    FalsificationMatrix,
     WorldSet,
     build_partitions,
     formula_worlds,
@@ -62,7 +61,6 @@ __all__ = [
     "BenchRecord",
     "Conditional",
     "CRProblem",
-    "FalsificationMatrix",
     "Formula",
     "INFINITY",
     "InfeasibleError",

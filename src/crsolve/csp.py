@@ -183,14 +183,14 @@ def build_problem(
     sorting passes, before each compiled rule and before every peel step
     of ``_minimal_signatures``, so compilation overshoots it by at most
     one such pass."""
-    parts = build_partitions(kb)
+    verifying, falsifying = build_partitions(kb)
     n = kb.n
     if bound is None:
         bound = n
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _check_deadline(deadline)
-    world_sigs = world_signatures(parts.falsifying, kb.m)
+    world_sigs = world_signatures(falsifying, kb.m)
     _check_deadline(deadline)
     order = sorted(set(world_sigs))
     verifying_sigs = []
@@ -200,7 +200,7 @@ def build_problem(
         bit = 1 << i
         # A world falsifies rule i exactly when its signature holds bit i;
         # dropping that common bit from the F-candidates keeps their order.
-        verified = set(compress(world_sigs, selector(parts.verifying[i])))
+        verified = set(compress(world_sigs, selector(verifying[i])))
         verifying_sigs.append(_minimal_signatures([s for s in order if s in verified], deadline))
         falsifying_sigs.append(_minimal_signatures([s & ~bit for s in order if s & bit], deadline))
     return CRProblem(bound, world_sigs, tuple(verifying_sigs), tuple(falsifying_sigs))

@@ -10,8 +10,10 @@ reaches rank 0 on at least one world.
 
 Formulas rank at the minimum over their worlds, unsatisfiable ones at
 INFINITY; a conditional (B|A) is accepted iff A-and-B ranks strictly below
-A-and-not-B.  INFINITY is an explicit value, not a sentinel number, and
-compares greater than every natural (never greater than itself).
+A-and-not-B.  INFINITY is ``math.inf``: it compares greater than every
+natural and prints as ``inf``.  Ranks are only compared, except for the one
+subtraction in ``rank_conditional``, which is guarded so that it never
+computes ``inf - inf``.
 
 World sets, per-world sums and world labels all come from ``worlds``.
 RankingFunction is immutable; all queries are pure and thread-safe.
@@ -19,6 +21,7 @@ RankingFunction is immutable; all queries are pure and thread-safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 
@@ -34,47 +37,9 @@ from .worlds import (
 )
 
 
-class _Infinity:
-    """The rank of the unsatisfiable; orders above every natural number."""
+INFINITY = math.inf
 
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is INFINITY
-
-    def __gt__(self, other):
-        return other is not INFINITY
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is INFINITY
-
-    def __hash__(self):
-        return hash("crsolve.INFINITY")
-
-    def __sub__(self, other):
-        return INFINITY
-
-    def __add__(self, other):
-        return INFINITY
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __str__(self):
-        return "inf"
-
-
-INFINITY = _Infinity()
-
-Rank = int | _Infinity
+Rank = int | float
 
 
 @dataclass(frozen=True)
@@ -93,7 +58,7 @@ def induced_ocf(kb: KnowledgeBase, v: KappaVector) -> RankingFunction:
         raise ValueError(f"vector has length {len(v)}, expected {kb.n}")
     if v and min(v) < 0:
         raise ValueError(f"vector has a negative component: {min(v)}")
-    return RankingFunction(world_sums(build_partitions(kb).falsifying, v, kb.m), kb)
+    return RankingFunction(world_sums(build_partitions(kb)[1], v, kb.m), kb)
 
 
 def _rank_of_set(r: RankingFunction, ws: int) -> Rank:
@@ -115,7 +80,10 @@ def rank_conditional(r: RankingFunction, c: Conditional) -> Rank:
     """Rank of (B|A): rank(A-and-B) minus rank(A), INFINITY when the
     antecedent is unsatisfiable.  Never negative."""
     verified, falsified = acceptance_ranks(r, c)
-    # rank(A) is the lesser of the two; INFINITY minus anything is INFINITY.
+    # rank(A) is the lesser of the two.  An infinite A-and-B side is
+    # returned as is: inf - inf would be NaN.
+    if verified == INFINITY:
+        return INFINITY
     return verified - min(verified, falsified)
 
 

@@ -25,7 +25,6 @@ calls; every function here is pure.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import compress, count, product, repeat
 from operator import add
 from typing import Iterator, Sequence
@@ -118,19 +117,6 @@ def formula_worlds(f: Formula) -> WorldSet:
     return ws
 
 
-@dataclass(frozen=True)
-class FalsificationMatrix:
-    """Per-rule verifying and falsifying world sets.
-
-    Row i holds the worlds verifying rule i+1 (antecedent and consequent
-    both hold) and the worlds falsifying it (antecedent holds, consequent
-    fails); the two sets are disjoint by construction.
-    """
-
-    verifying: tuple[WorldSet, ...]
-    falsifying: tuple[WorldSet, ...]
-
-
 def conditional_worlds(c: Conditional) -> tuple[WorldSet, WorldSet]:
     """The worlds verifying (B|A), A-and-B, and falsifying it, A-and-not-B."""
     wa = formula_worlds(c.antecedent)
@@ -138,10 +124,12 @@ def conditional_worlds(c: Conditional) -> tuple[WorldSet, WorldSet]:
     return wa & wb, wa & ~wb
 
 
-def build_partitions(kb: KnowledgeBase) -> FalsificationMatrix:
-    """Compute each rule's verifying/falsifying world sets."""
+def build_partitions(kb: KnowledgeBase) -> tuple[tuple[WorldSet, ...], tuple[WorldSet, ...]]:
+    """The pair (verifying, falsifying): entry i of each is the set of
+    worlds verifying, resp. falsifying, rule i+1.  The two sets of a rule
+    are disjoint; a KB without rules gives ``((), ())``."""
     splits = [conditional_worlds(c) for c in kb.conditionals]
-    return FalsificationMatrix(tuple(v for v, _ in splits), tuple(f for _, f in splits))
+    return tuple(v for v, _ in splits), tuple(f for _, f in splits)
 
 
 def _literal_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -193,18 +194,14 @@ class TestInfinity:
         assert INFINITY == INFINITY
         assert INFINITY != 7
         assert 7 != INFINITY
+        assert INFINITY == math.inf
 
     def test_hashable_in_rank_tuples(self):
         assert hash(INFINITY) == hash(INFINITY)
         assert len({(0, INFINITY), (0, INFINITY), (INFINITY, 0)}) == 2
 
-    def test_arithmetic(self):
-        assert INFINITY - 3 is INFINITY
-        assert INFINITY + 3 is INFINITY
-
     def test_rendering(self):
         assert str(INFINITY) == "inf"
-        assert repr(INFINITY) == "INFINITY"
 
 
 class TestTableExport:

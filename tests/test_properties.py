@@ -78,10 +78,10 @@ def test_round_trip(text):
 @given(kb_texts())
 def test_tri_partition_and_indicator_agreement(text):
     kb = parse_kb(text)
-    parts = build_partitions(kb)
+    verifying, falsifying = build_partitions(kb)
     full = full_set(kb.m)
     for i, c in enumerate(kb.conditionals):
-        v, f = parts.verifying[i], parts.falsifying[i]
+        v, f = verifying[i], falsifying[i]
         assert v & f == 0
         assert (v | f) & ~full == 0
         for w in range(2**kb.m):

@@ -132,31 +132,31 @@ class TestIndicator:
 
 class TestBuildPartitions:
     def test_penguins_rule3_counts(self, penguins):
-        parts = build_partitions(penguins)
-        assert parts.verifying[2].bit_count() == 8
-        assert parts.falsifying[2].bit_count() == 8
+        verifying, falsifying = build_partitions(penguins)
+        assert verifying[2].bit_count() == 8
+        assert falsifying[2].bit_count() == 8
 
     def test_penguins_rule1_sets(self, penguins):
-        parts = build_partitions(penguins)
+        verifying, falsifying = build_partitions(penguins)
         b_and_f = formula_worlds(parse_formula("b, f", penguins.atoms))
         b_not_f = formula_worlds(parse_formula("b, !f", penguins.atoms))
-        assert parts.verifying[0] == b_and_f
-        assert parts.falsifying[0] == b_not_f
-        assert parts.verifying[0].bit_count() == 8
-        assert parts.falsifying[0].bit_count() == 8
+        assert verifying[0] == b_and_f
+        assert falsifying[0] == b_not_f
+        assert verifying[0].bit_count() == 8
+        assert falsifying[0].bit_count() == 8
 
     def test_unsatisfiable_antecedent(self):
         kb = parse_kb("vars: a\nrule: (a | bot)")
-        parts = build_partitions(kb)
-        assert parts.verifying == (0,)
-        assert parts.falsifying == (0,)
+        verifying, falsifying = build_partitions(kb)
+        assert verifying == (0,)
+        assert falsifying == (0,)
 
     def test_tri_partition(self, penguins, birds):
         for kb in (penguins, birds):
-            parts = build_partitions(kb)
+            verifying, falsifying = build_partitions(kb)
             full = full_set(kb.m)
             for i, c in enumerate(kb.conditionals):
-                v, f = parts.verifying[i], parts.falsifying[i]
+                v, f = verifying[i], falsifying[i]
                 assert v & f == 0
                 not_applicable = full ^ (v | f)
                 for w in range(2**kb.m):
@@ -164,12 +164,12 @@ class TestBuildPartitions:
                     assert hits == 1
 
     def test_agrees_with_pointwise_indicator(self, penguins):
-        parts = build_partitions(penguins)
+        verifying, falsifying = build_partitions(penguins)
         for i, c in enumerate(penguins.conditionals):
             for w in range(32):
                 status = indicator_ref(c, penguins, w)
-                assert ws_member(parts.verifying[i], w) == (status == "v")
-                assert ws_member(parts.falsifying[i], w) == (status == "f")
+                assert ws_member(verifying[i], w) == (status == "v")
+                assert ws_member(falsifying[i], w) == (status == "f")
 
 
 class TestRendering:
