@@ -31,15 +31,27 @@ included, runs bounds propagation on entry:
 
     lo_i <- max(lo_i, 1 + min_sig(V_i, lo) - min_sig(F_i, hi))
 
-which is monotone and terminates; values are labelled in rule order,
-ascending, so solutions stream in lexicographic order.  The assigned
-prefix plus the lower bounds of the remaining variables bound every
-completion of a node from below.  After propagation the node asks a cut
-on those bounds; each solver differs only in that cut, which sees the
-solutions yielded so far: none for all solutions; sum(lo) >= best sum
-for one sum-minimal solution; sum(lo) > best sum for all of them, in one
-pass that keeps ties and restarts on a smaller sum; a frontier vector
-<= lo for the Pareto-minimal ones.
+which is monotone and terminates.  The propagator is event-driven, as
+in AC-3 (Mackworth, AIJ 1977): a FIFO worklist of rules, driven by
+per-variable occurrence lists that each solve builds once.  A raised
+lo_j re-queues only the rules whose V-signatures mention j, and
+min_sig(F_i, hi) is computed at most once per call, since hi does not
+move within one.  The root starts with every rule queued.  A child
+starts with only the rules that mention the variable just labelled: the
+parent was at its fixpoint, labelling idx only raises lo_idx and lowers
+hi_idx, and rule idx's own floor does not depend on idx, so no other
+floor can have moved.  The least fixpoint of a monotone operator does
+not depend on the order of its updates, so the seeded start reaches the
+same bounds as a start with every rule queued.
+
+Values are labelled in rule order, ascending, so solutions stream in
+lexicographic order.  The assigned prefix plus the lower bounds of the
+remaining variables bound every completion of a node from below.  After
+propagation the node asks a cut on those bounds; each solver differs
+only in that cut, which sees the solutions yielded so far: none for all
+solutions; sum(lo) >= best sum for one sum-minimal solution; sum(lo) >
+best sum for all of them, in one pass that keeps ties and restarts on a
+smaller sum; a frontier vector <= lo for the Pareto-minimal ones.
 
 Minimal solutions without enumerating the box.  If v <= u componentwise
 and v != u, then v precedes u lexicographically, so the search meets every
@@ -64,11 +76,12 @@ state, so concurrent solves on one problem are safe.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from itertools import compress, islice, product
 from operator import le
 from time import perf_counter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .kb import KnowledgeBase
 from .worlds import (
@@ -206,10 +219,6 @@ def build_problem(
     return CRProblem(bound, world_sigs, tuple(verifying_sigs), tuple(falsifying_sigs))
 
 
-def _min_sig_sum(sigs: _SigSet, values) -> int:
-    return min(sum(values[j] for j in sig) for sig in sigs)
-
-
 def check_solution(p: CRProblem, v: KappaVector) -> bool:
     """Exact test of the constraint conjunction at vector v: propagation on
     the single point lo = hi = v raises a bound exactly where v violates a
@@ -218,35 +227,75 @@ def check_solution(p: CRProblem, v: KappaVector) -> bool:
         raise ValueError(f"vector has length {len(v)}, expected {p.n}")
     if any(x < 0 for x in v):
         return False
-    return _propagate_box(list(v), list(v), p.verifying_sigs, p.falsifying_sigs)
+    # On a point any raise empties a domain, so no rule is ever re-queued
+    # and the occurrence lists are never read.
+    return _propagate_box(list(v), list(v), p.verifying_sigs, p.falsifying_sigs, (), range(p.n))
 
 
-def _propagate_box(lo: list[int], hi: list[int], vsigs, fsigs) -> bool:
-    """Tighten lower bounds to their fixpoint in place; False if some
+def _occurrences(vsigs, fsigs) -> tuple[list[list[int]], list[list[int]]]:
+    """Per-variable occurrence lists ``(raised_by, touched_by)``: for each
+    variable j, the rules whose V-signatures mention j (their floors rise
+    with lo[j]), and the rules whose V- or F-signatures mention j (their
+    floors may move when lo[j] rises or hi[j] falls)."""
+    n = len(vsigs)
+    raised_by: list[list[int]] = [[] for _ in range(n)]
+    touched_by: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        in_v = {j for sig in vsigs[i] for j in sig}
+        for j in sorted(in_v):
+            raised_by[j].append(i)
+        for j in sorted(in_v.union(*fsigs[i])):
+            touched_by[j].append(i)
+    return raised_by, touched_by
+
+
+def _propagate_box(
+    lo: list[int], hi: list[int], vsigs, fsigs, raised_by, queue: Iterable[int]
+) -> bool:
+    """Tighten lower bounds to their least fixpoint in place; False if some
     domain empties.
+
+    A FIFO worklist of rules, seeded with ``queue``.  Popping rule i
+    raises lo[i] to its floor 1 + min_sig(V_i, lo) - min_sig(F_i, hi), and
+    a raised lo[i] queues the rules of ``raised_by[i]``, whose V-signatures
+    mention i.  Only lower bounds move within a call, so min_sig(F_i, hi)
+    is computed once, when rule i is first popped.  The worklist empties
+    with every rule satisfied, so the result is the least fixpoint above
+    the given lo, whatever the order of the updates.
+
+    The caller may seed only the rules whose floors can have moved since
+    lo and hi were last at a fixpoint: every other rule is still
+    satisfied, and its floor can change only through a raise that queues
+    it.  A start with no fixpoint behind it queues every rule.
 
     Empty-min cases: no verifying world makes rule i unsatisfiable for any
     finite value; no falsifying world satisfies its constraint vacuously.
     """
-    n = len(lo)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            vs = vsigs[i]
-            if not vs:
-                lo[i] = hi[i] + 1
+    queue = deque(queue)
+    queued = set(queue)
+    fmin: dict[int, int] = {}
+    while queue:
+        i = queue.popleft()
+        queued.discard(i)
+        vs = vsigs[i]
+        if not vs:
+            lo[i] = hi[i] + 1
+            return False
+        fs = fsigs[i]
+        if not fs:
+            continue
+        f = fmin.get(i)
+        if f is None:
+            f = fmin[i] = min(sum(map(hi.__getitem__, sig)) for sig in fs)
+        floor = min(sum(map(lo.__getitem__, sig)) for sig in vs) - f + 1
+        if floor > lo[i]:
+            lo[i] = floor
+            if floor > hi[i]:
                 return False
-            fs = fsigs[i]
-            if not fs:
-                continue
-            floor = _min_sig_sum(vs, lo) - _min_sig_sum(fs, hi) + 1
-            if floor > lo[i]:
-                if floor > hi[i]:
-                    lo[i] = floor
-                    return False
-                lo[i] = floor
-                changed = True
+            for k in raised_by[i]:
+                if k not in queued:
+                    queued.add(k)
+                    queue.append(k)
     return True
 
 
@@ -268,10 +317,13 @@ def _search(
     vsigs = p.verifying_sigs
     fsigs = p.falsifying_sigs
     n = len(vsigs)
+    raised_by, touched_by = _occurrences(vsigs, fsigs)
 
-    def rec(idx: int, lo: list[int], hi: list[int]) -> Iterator[KappaVector]:
+    def rec(idx: int, lo: list[int], hi: list[int], queue: Iterable[int]) -> Iterator[KappaVector]:
         _check_deadline(deadline)
-        if not _propagate_box(lo, hi, vsigs, fsigs) or (cut is not None and cut(lo)):
+        if not _propagate_box(lo, hi, vsigs, fsigs, raised_by, queue) or (
+            cut is not None and cut(lo)
+        ):
             return
         if idx == n:
             yield tuple(lo)
@@ -283,9 +335,11 @@ def _search(
             # A larger value only raises the bounds, so a cut here is final.
             if cut is not None and cut(lo2):
                 break
-            yield from rec(idx + 1, lo2, hi2)
+            # The parent is at its fixpoint and labelling moved only the
+            # bounds of idx, so only the rules that mention idx can move.
+            yield from rec(idx + 1, lo2, hi2, touched_by[idx])
 
-    yield from rec(0, [0] * n, [p.bound] * n)
+    yield from rec(0, [0] * n, [p.bound] * n, range(n))
 
 
 def enumerate_solutions(

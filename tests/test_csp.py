@@ -20,7 +20,7 @@ from crsolve import (
     solve_min_sum,
 )
 from crsolve import csp
-from crsolve.csp import _propagate_box
+from crsolve.csp import _occurrences, _propagate_box
 
 from tests.helpers import (
     BIRDS_TEXT,
@@ -162,11 +162,14 @@ class TestCheckSolution:
                 assert check_solution(p, v) == check_ref(kb, v, compiled), (kb, v)
 
 
-def propagate_box(p, lo=None, hi=None):
-    """(feasible, lo, hi) after propagating the box, or the given bounds."""
+def propagate_box(p, lo=None, hi=None, queue=None):
+    """(feasible, lo, hi) after propagating the box, or the given bounds,
+    from every rule queued or only from ``queue``."""
     lo = [0] * p.n if lo is None else list(lo)
     hi = [p.bound] * p.n if hi is None else list(hi)
-    return _propagate_box(lo, hi, p.verifying_sigs, p.falsifying_sigs), lo, hi
+    raised_by, _ = _occurrences(p.verifying_sigs, p.falsifying_sigs)
+    queue = range(p.n) if queue is None else queue
+    return _propagate_box(lo, hi, p.verifying_sigs, p.falsifying_sigs, raised_by, queue), lo, hi
 
 
 class TestPropagate:
@@ -198,11 +201,13 @@ class TestPropagate:
         # (lo = hi), the rest spans [0, bound].  A propagator that stops
         # short of the fixpoint leaves some lower bound below the reference.
         rng = random.Random(4711)
+        labels = random.Random(4712)
         kbs = [parse_kb(random_kb_text(rng, 4, 6)) for _ in range(150)]
         kbs += [gen_synthetic(n, j) for n in range(2, 9) for j in (0, 2) if j <= 2 * n - 2]
         for kb in kbs:
             p = build_problem(kb)
             compiled = compile_ref(kb)
+            _, touched_by = _occurrences(p.verifying_sigs, p.falsifying_sigs)
             for _ in range(6 if kb.m <= 5 else 3):
                 k = rng.randint(0, p.n)
                 prefix = [rng.randint(0, p.bound) for _ in range(k)]
@@ -211,8 +216,49 @@ class TestPropagate:
                 want = propagate_ref(kb, lo, hi, compiled)
                 feasible, got, _ = propagate_box(p, lo, hi)
                 assert feasible == (want is not None), (render_kb(kb), lo, hi)
+                if not feasible:
+                    continue
+                assert got == want, (render_kb(kb), lo, hi)
+                if k == p.n:
+                    continue
+                # A child node: label the next variable inside its
+                # propagated range and queue only the rules that mention it,
+                # as the search does.
+                lo, hi = got.copy(), hi.copy()
+                lo[k] = hi[k] = labels.randint(lo[k], hi[k])
+                want = propagate_ref(kb, lo, hi, compiled)
+                feasible, got, _ = propagate_box(p, lo, hi, touched_by[k])
+                assert feasible == (want is not None), (render_kb(kb), lo, hi)
                 if feasible:
                     assert got == want, (render_kb(kb), lo, hi)
+
+
+class TestNodeCounts:
+    """One propagator call per search node.  These are upper bounds: a
+    search that prunes more may lower them, one that prunes less fails."""
+
+    @pytest.mark.parametrize(
+        "solver, n, nodes",
+        [
+            (all_min_sum, 9, 244),
+            (all_min_sum, 10, 407),
+            (all_min_sum, 11, 678),
+            (pareto_min, 6, 785),
+            (pareto_min, 7, 4015),
+            (solve_min_sum, 6, 45),
+        ],
+    )
+    def test_chain_nodes_at_most(self, solver, n, nodes, monkeypatch):
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return _propagate_box(*args)
+
+        monkeypatch.setattr(csp, "_propagate_box", counting)
+        solver(build_problem(gen_synthetic(n)))
+        assert calls <= nodes
 
 
 class TestEnumerate:
