@@ -44,6 +44,23 @@ floor can have moved.  The least fixpoint of a monotone operator does
 not depend on the order of its updates, so the seeded start reaches the
 same bounds as a start with every rule queued.
 
+Each solve keeps one box: lo, hi, one sum of lo per distinct
+V-signature, and a trail of the bounds each change overwrote.  The
+stored sums equal the sums recomputed from lo: they start out equal, hi
+enters no V-sum, and a rise of lo_j by d adds d to exactly the sums of
+the signatures that mention j, the only ones whose fresh value moves.
+So min_sig(V_i, lo) is the least stored sum of rule i, and a popped
+rule reads its floor without re-summing.  Undo pops the trail down to a
+mark, latest entry first, so when an entry for j is popped every later
+change is already undone and lo_j is back to its value right after that
+entry's change: restoring j's old bounds and subtracting the same rise
+from the same sums puts the box back exactly as it was before the
+change.  Each open node takes its mark as soon as its propagation
+succeeds, and nothing below the mark is popped while it is open, so
+undoing to the mark gives back that node's fixpoint exactly before each
+of its children.  The search is one loop over a stack of open nodes;
+no bounds are copied per child.
+
 Values are labelled in rule order, ascending, so solutions stream in
 lexicographic order.  The assigned prefix plus the lower bounds of the
 remaining variables bound every completion of a node from below.  After
@@ -69,8 +86,8 @@ solutions are exactly the non-dominated rankings over the frontier, and
 the vectors inducing them are the surviving frontier vectors with their
 free components ranging over the box.
 
-A CRProblem is immutable after build; each solve call owns private search
-state, so concurrent solves on one problem are safe.
+A CRProblem is immutable after build; each solve call builds its own box
+and trail, so concurrent solves on one problem are safe.
 """
 
 from __future__ import annotations
@@ -227,38 +244,67 @@ def check_solution(p: CRProblem, v: KappaVector) -> bool:
         raise ValueError(f"vector has length {len(v)}, expected {p.n}")
     if any(x < 0 for x in v):
         return False
-    # On a point any raise empties a domain, so no rule is ever re-queued
-    # and the occurrence lists are never read.
-    return _propagate_box(list(v), list(v), p.verifying_sigs, p.falsifying_sigs, (), range(p.n))
+    # On a point any raise empties a domain, so no rule is ever re-queued.
+    return _propagate_box(_Box(p, v, v), range(p.n))
 
 
-def _occurrences(vsigs, fsigs) -> tuple[list[list[int]], list[list[int]]]:
-    """Per-variable occurrence lists ``(raised_by, touched_by)``: for each
-    variable j, the rules whose V-signatures mention j (their floors rise
-    with lo[j]), and the rules whose V- or F-signatures mention j (their
-    floors may move when lo[j] rises or hi[j] falls)."""
-    n = len(vsigs)
-    raised_by: list[list[int]] = [[] for _ in range(n)]
-    touched_by: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        in_v = {j for sig in vsigs[i] for j in sig}
-        for j in sorted(in_v):
-            raised_by[j].append(i)
-        for j in sorted(in_v.union(*fsigs[i])):
-            touched_by[j].append(i)
-    return raised_by, touched_by
+class _Box:
+    """The bounds of one solve or check: ``lo`` and ``hi``, the sum of
+    ``lo`` over each distinct V-signature, and a trail of the bounds that
+    each change overwrote, plus the occurrence lists that drive them.
+
+    The distinct V-signatures are numbered in order of first occurrence:
+    ``vsig_ids[i]`` lists the numbers of rule i's, and ``sums[s]`` is the
+    sum of ``lo`` over signature s.  ``containing[j]`` holds the
+    signatures that mention j, ``raised_by[j]`` the rules whose
+    V-signatures mention j (their floors rise with lo[j]) and
+    ``touched_by[j]`` the rules whose V- or F-signatures mention j (their
+    floors may move when lo[j] rises or hi[j] falls).  A trail entry
+    ``(j, lo_j, hi_j)`` holds the bounds of j before one change.
+    """
+
+    def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
+        n = p.n
+        self.lo = lo = list(lo)
+        self.hi = list(hi)
+        self.trail: list[tuple[int, int, int]] = []
+        self.fsigs = p.falsifying_sigs
+        ids: dict[tuple[int, ...], int] = {}
+        self.sums = sums = []
+        self.vsig_ids = vsig_ids = []
+        self.containing = containing = [[] for _ in range(n)]
+        self.raised_by = raised_by = [[] for _ in range(n)]
+        self.touched_by = touched_by = [[] for _ in range(n)]
+        for i, (vs, fs) in enumerate(zip(p.verifying_sigs, p.falsifying_sigs)):
+            row = []
+            for sig in vs:
+                s = ids.get(sig)
+                if s is None:
+                    s = ids[sig] = len(sums)
+                    sums.append(sum(map(lo.__getitem__, sig)))
+                    for j in sig:
+                        containing[j].append(s)
+                row.append(s)
+            vsig_ids.append(row)
+            in_v = set().union(*vs)
+            for j in in_v:
+                raised_by[j].append(i)
+            for j in in_v.union(*fs):
+                touched_by[j].append(i)
 
 
-def _propagate_box(
-    lo: list[int], hi: list[int], vsigs, fsigs, raised_by, queue: Iterable[int]
-) -> bool:
-    """Tighten lower bounds to their least fixpoint in place; False if some
-    domain empties.
+def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
+    """Tighten ``box.lo`` to its least fixpoint in place, keeping the
+    signature sums; False if some domain empties.
 
     A FIFO worklist of rules, seeded with ``queue``.  Popping rule i
     raises lo[i] to its floor 1 + min_sig(V_i, lo) - min_sig(F_i, hi), and
     a raised lo[i] queues the rules of ``raised_by[i]``, whose V-signatures
-    mention i.  Only lower bounds move within a call, so min_sig(F_i, hi)
+    mention i.  min_sig(V_i, lo) is the least of rule i's stored
+    V-signature sums, which equal fresh ones: a raise pushes the old
+    bounds onto the trail and adds its rise to each sum that mentions i,
+    the only sums it moves, so the search's undo can give the box back
+    exactly.  Only lower bounds move within a call, so min_sig(F_i, hi)
     is computed once, when rule i is first popped.  The worklist empties
     with every rule satisfied, so the result is the least fixpoint above
     the given lo, whatever the order of the updates.
@@ -266,20 +312,23 @@ def _propagate_box(
     The caller may seed only the rules whose floors can have moved since
     lo and hi were last at a fixpoint: every other rule is still
     satisfied, and its floor can change only through a raise that queues
-    it.  A start with no fixpoint behind it queues every rule.
+    it.  A start with no fixpoint behind it queues every rule.  On failure
+    the box is left as it was at the failing rule; the search undoes it.
 
     Empty-min cases: no verifying world makes rule i unsatisfiable for any
     finite value; no falsifying world satisfies its constraint vacuously.
     """
+    lo, hi, sums = box.lo, box.hi, box.sums
+    vsig_ids, fsigs, raised_by = box.vsig_ids, box.fsigs, box.raised_by
+    containing, trail = box.containing, box.trail
     queue = deque(queue)
     queued = set(queue)
     fmin: dict[int, int] = {}
     while queue:
         i = queue.popleft()
         queued.discard(i)
-        vs = vsigs[i]
-        if not vs:
-            lo[i] = hi[i] + 1
+        ids = vsig_ids[i]
+        if not ids:
             return False
         fs = fsigs[i]
         if not fs:
@@ -287,11 +336,15 @@ def _propagate_box(
         f = fmin.get(i)
         if f is None:
             f = fmin[i] = min(sum(map(hi.__getitem__, sig)) for sig in fs)
-        floor = min(sum(map(lo.__getitem__, sig)) for sig in vs) - f + 1
+        floor = min(map(sums.__getitem__, ids)) - f + 1
         if floor > lo[i]:
-            lo[i] = floor
             if floor > hi[i]:
                 return False
+            trail.append((i, lo[i], hi[i]))
+            d = floor - lo[i]
+            lo[i] = floor
+            for s in containing[i]:
+                sums[s] += d
             for k in raised_by[i]:
                 if k not in queued:
                     queued.add(k)
@@ -313,33 +366,62 @@ def _search(
     box solutions in lexicographic order.  Every node, the root included,
     is propagated on entry and skipped with its subtree when propagation
     fails or ``cut`` rejects its lower bounds.  The cut is asked again at
-    each node, so it may tighten as the caller consumes solutions."""
-    vsigs = p.verifying_sigs
-    fsigs = p.falsifying_sigs
-    n = len(vsigs)
-    raised_by, touched_by = _occurrences(vsigs, fsigs)
+    each node, so it may tighten as the caller consumes solutions.
 
-    def rec(idx: int, lo: list[int], hi: list[int], queue: Iterable[int]) -> Iterator[KappaVector]:
+    One box serves the whole search.  The open nodes form a stack: the
+    node at depth idx labels variable idx, and keeps the next value to try
+    and the trail length at its own fixpoint.  Before each of its children
+    the box is undone to that length, which gives the fixpoint back."""
+    n = p.n
+    box = _Box(p, [0] * n, [p.bound] * n)
+    lo, hi, sums, trail = box.lo, box.hi, box.sums, box.trail
+    containing, touched_by = box.containing, box.touched_by
+    values: list[int] = []
+    marks: list[int] = []
+    queue: Iterable[int] = range(n)
+    while True:
+        # Enter a node: the root, or the child just labelled.
         _check_deadline(deadline)
-        if not _propagate_box(lo, hi, vsigs, fsigs, raised_by, queue) or (
-            cut is not None and cut(lo)
-        ):
-            return
-        if idx == n:
-            yield tuple(lo)
-            return
-        for val in range(lo[idx], hi[idx] + 1):
-            lo2 = lo.copy()
-            hi2 = hi.copy()
-            lo2[idx] = hi2[idx] = val
+        if _propagate_box(box, queue) and not (cut is not None and cut(lo)):
+            idx = len(values)
+            if idx == n:
+                yield tuple(lo)
+            else:
+                values.append(lo[idx])
+                marks.append(len(trail))
+        # Label the next child of the deepest open node, closing the
+        # nodes whose values are used up.
+        while values:
+            idx = len(values) - 1
+            mark = marks[idx]
+            while len(trail) > mark:
+                j, lo_j, hi[j] = trail.pop()
+                d = lo[j] - lo_j
+                lo[j] = lo_j
+                for s in containing[j]:
+                    sums[s] -= d
+            val = values[idx]
+            if val > hi[idx]:
+                values.pop()
+                marks.pop()
+                continue
+            values[idx] = val + 1
+            trail.append((idx, lo[idx], hi[idx]))
+            d = val - lo[idx]
+            lo[idx] = hi[idx] = val
+            for s in containing[idx]:
+                sums[s] += d
             # A larger value only raises the bounds, so a cut here is final.
-            if cut is not None and cut(lo2):
-                break
+            if cut is not None and cut(lo):
+                values.pop()
+                marks.pop()
+                continue
             # The parent is at its fixpoint and labelling moved only the
             # bounds of idx, so only the rules that mention idx can move.
-            yield from rec(idx + 1, lo2, hi2, touched_by[idx])
-
-    yield from rec(0, [0] * n, [p.bound] * n, range(n))
+            queue = touched_by[idx]
+            break
+        else:
+            return
 
 
 def enumerate_solutions(

@@ -20,7 +20,7 @@ from crsolve import (
     solve_min_sum,
 )
 from crsolve import csp
-from crsolve.csp import _occurrences, _propagate_box
+from crsolve.csp import _Box, _propagate_box
 
 from tests.helpers import (
     BIRDS_TEXT,
@@ -165,11 +165,61 @@ class TestCheckSolution:
 def propagate_box(p, lo=None, hi=None, queue=None):
     """(feasible, lo, hi) after propagating the box, or the given bounds,
     from every rule queued or only from ``queue``."""
-    lo = [0] * p.n if lo is None else list(lo)
-    hi = [p.bound] * p.n if hi is None else list(hi)
-    raised_by, _ = _occurrences(p.verifying_sigs, p.falsifying_sigs)
+    box = _Box(p, [0] * p.n if lo is None else lo, [p.bound] * p.n if hi is None else hi)
     queue = range(p.n) if queue is None else queue
-    return _propagate_box(lo, hi, p.verifying_sigs, p.falsifying_sigs, raised_by, queue), lo, hi
+    return _propagate_box(box, queue), box.lo, box.hi
+
+
+def assert_sums_fresh(box, p, context):
+    """Every stored sum of every rule's V-signatures equals the sum
+    recomputed from lo."""
+    stored = [box.sums[s] for ids in box.vsig_ids for s in ids]
+    fresh = [sum(box.lo[j] for j in sig) for vs in p.verifying_sigs for sig in vs]
+    assert stored == fresh, context
+
+
+def search_checking_nodes(kb, p, compiled, rng, monkeypatch):
+    """Run the search with a random cut, so that it walks random labelling
+    paths and backtracks through its one box, and check every node as it
+    is propagated.  On entry the box must hold its parent's fixpoint with
+    only the labelled variable moved; after propagation its bounds must
+    equal the reference fixpoint, and at both points every stored V-sum
+    must equal its sum recomputed from lo.  Returns the depths of the
+    feasible nodes."""
+    n = p.n
+    fixpoints = []  # (lo, hi) of the feasible node at each depth on the path
+    depths = []
+
+    def checking(box, queue):
+        # The root queues every rule, a child the rules that mention the
+        # variable it labelled.
+        if isinstance(queue, range):
+            depth, want_lo, want_hi = 0, [0] * n, [p.bound] * n
+        else:
+            k = next(j for j, rules in enumerate(box.touched_by) if rules is queue)
+            depth = k + 1
+            want_lo, want_hi = (list(b) for b in fixpoints[k])
+            assert want_lo[k] <= box.lo[k] == box.hi[k] <= want_hi[k], render_kb(kb)
+            want_lo[k] = want_hi[k] = box.lo[k]
+        assert (box.lo, box.hi) == (want_lo, want_hi), render_kb(kb)
+        assert_sums_fresh(box, p, render_kb(kb))
+        want = propagate_ref(kb, box.lo, box.hi, compiled)
+        feasible = _propagate_box(box, queue)
+        assert feasible == (want is not None), (render_kb(kb), want_lo, want_hi)
+        assert_sums_fresh(box, p, render_kb(kb))
+        if feasible:
+            assert (box.lo, box.hi) == (want, want_hi), (render_kb(kb), want_lo, want_hi)
+            del fixpoints[depth:]
+            fixpoints.append((box.lo.copy(), box.hi.copy()))
+            depths.append(depth)
+        return feasible
+
+    with monkeypatch.context() as patch:
+        patch.setattr(csp, "_propagate_box", checking)
+        # Past 60 feasible nodes every node is cut, so the search winds up.
+        for _ in csp._search(p, lambda lo: len(depths) > 60 or rng.random() < 0.3):
+            pass
+    return depths
 
 
 class TestPropagate:
@@ -196,7 +246,7 @@ class TestPropagate:
             assert all(x >= 0 for x in lo)
             assert all(x <= p.bound for x in hi)
 
-    def test_least_fixpoint_matches_reference(self):
+    def test_least_fixpoint_matches_reference(self, monkeypatch):
         # Search-shaped boxes: a random prefix of the variables is fixed
         # (lo = hi), the rest spans [0, bound].  A propagator that stops
         # short of the fixpoint leaves some lower bound below the reference.
@@ -204,10 +254,15 @@ class TestPropagate:
         labels = random.Random(4712)
         kbs = [parse_kb(random_kb_text(rng, 4, 6)) for _ in range(150)]
         kbs += [gen_synthetic(n, j) for n in range(2, 9) for j in (0, 2) if j <= 2 * n - 2]
+        walks = random.Random(4713)
+        deep_nodes = 0
         for kb in kbs:
             p = build_problem(kb)
             compiled = compile_ref(kb)
-            _, touched_by = _occurrences(p.verifying_sigs, p.falsifying_sigs)
+            touched_by = _Box(p, [0] * p.n, [p.bound] * p.n).touched_by
+            # Carried state: labelling paths with backtracks through one box.
+            depths = search_checking_nodes(kb, p, compiled, walks, monkeypatch)
+            deep_nodes += sum(d >= 3 for d in depths)
             for _ in range(6 if kb.m <= 5 else 3):
                 k = rng.randint(0, p.n)
                 prefix = [rng.randint(0, p.bound) for _ in range(k)]
@@ -231,11 +286,13 @@ class TestPropagate:
                 assert feasible == (want is not None), (render_kb(kb), lo, hi)
                 if feasible:
                     assert got == want, (render_kb(kb), lo, hi)
+        assert deep_nodes >= 100
 
 
 class TestNodeCounts:
-    """One propagator call per search node.  These are upper bounds: a
-    search that prunes more may lower them, one that prunes less fails."""
+    """One propagator call per search node, counted exactly: a search that
+    prunes differently fails, and so does one that stops calling the
+    module's ``_propagate_box`` at every node."""
 
     @pytest.mark.parametrize(
         "solver, n, nodes",
@@ -258,7 +315,7 @@ class TestNodeCounts:
 
         monkeypatch.setattr(csp, "_propagate_box", counting)
         solver(build_problem(gen_synthetic(n)))
-        assert calls <= nodes
+        assert calls == nodes
 
 
 class TestEnumerate:

@@ -23,7 +23,7 @@ from crsolve import (
     render_kb,
     render_table,
 )
-from crsolve.csp import _occurrences, _propagate_box
+from crsolve.csp import _Box, _propagate_box
 from crsolve.worlds import iter_bits, selector, world_signatures
 
 from tests.helpers import (
@@ -113,15 +113,15 @@ def test_conjunction_is_intersection_of_world_sets(args):
 @given(kb_texts())
 def test_propagate_shrinks_and_is_idempotent(text):
     problem = build_problem(parse_kb(text))
-    sigs = problem.verifying_sigs, problem.falsifying_sigs
-    args = (*sigs, _occurrences(*sigs)[0], range(problem.n))
-    lo, hi = [0] * problem.n, [problem.bound] * problem.n
-    feasible = _propagate_box(lo, hi, *args)
+    box = _Box(problem, [0] * problem.n, [problem.bound] * problem.n)
+    lo, hi = box.lo, box.hi
+    feasible = _propagate_box(box, range(problem.n))
     assert all(x >= 0 for x in lo)
     assert all(x <= problem.bound for x in hi)
     if feasible:
-        lo2, hi2 = lo.copy(), hi.copy()
-        assert _propagate_box(lo2, hi2, *args)
+        box2 = _Box(problem, lo, hi)
+        lo2, hi2 = box2.lo, box2.hi
+        assert _propagate_box(box2, range(problem.n))
         assert (lo2, hi2) == (lo, hi)
 
 
