@@ -71,8 +71,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif args.mode == "pareto":
         result = pareto_min(problem, deadline=deadline)
     else:
-        result = ocf_min(problem, deadline=deadline)
-    if args.limit is not None and args.mode != "all":
+        result = ocf_min(problem, limit=args.limit, deadline=deadline)
+    if args.limit is not None and args.mode not in ("all", "ocf-min"):
         result = dataclasses.replace(result, vectors=result.vectors[: args.limit])
     if args.json:
         print(json.dumps(result.as_dict()))

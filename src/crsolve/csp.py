@@ -93,6 +93,7 @@ and trail, so concurrent solves on one problem are safe.
 from __future__ import annotations
 
 import enum
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, islice, product
@@ -251,41 +252,46 @@ def check_solution(p: CRProblem, v: KappaVector) -> bool:
 class _Box:
     """The bounds of one solve or check: ``lo`` and ``hi``, the sum of
     ``lo`` over each distinct V-signature, and a trail of the bounds that
-    each change overwrote, plus the occurrence lists that drive them.
+    each change overwrote.
 
     The distinct V-signatures are numbered in order of first occurrence:
-    ``vsig_ids[i]`` lists the numbers of rule i's, and ``sums[s]`` is the
-    sum of ``lo`` over signature s.  ``containing[j]`` holds the
-    signatures that mention j, ``raised_by[j]`` the rules whose
-    V-signatures mention j (their floors rise with lo[j]) and
-    ``touched_by[j]`` the rules whose V- or F-signatures mention j (their
-    floors may move when lo[j] rises or hi[j] falls).  A trail entry
-    ``(j, lo_j, hi_j)`` holds the bounds of j before one change.
+    ``vsigs[s]`` is signature s, ``vsig_ids[i]`` lists the numbers of rule
+    i's, and ``sums[s]`` is the sum of ``lo`` over signature s.  A trail
+    entry ``(j, lo_j, hi_j)`` holds the bounds of j before one change.
     """
 
     def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
-        n = p.n
         self.lo = lo = list(lo)
         self.hi = list(hi)
         self.trail: list[tuple[int, int, int]] = []
         self.fsigs = p.falsifying_sigs
         ids: dict[tuple[int, ...], int] = {}
-        self.sums = sums = []
-        self.vsig_ids = vsig_ids = []
+        self.vsig_ids = [[ids.setdefault(sig, len(ids)) for sig in vs] for vs in p.verifying_sigs]
+        self.vsigs = vsigs = list(ids)
+        self.sums = [sum(map(lo.__getitem__, sig)) for sig in vsigs]
+
+
+class _SearchBox(_Box):
+    """A ``_Box`` plus the occurrence lists that drive a search.
+
+    ``containing[j]`` holds the signatures that mention j, ``raised_by[j]``
+    the rules whose V-signatures mention j (their floors rise with lo[j])
+    and ``touched_by[j]`` the rules whose V- or F-signatures mention j
+    (their floors may move when lo[j] rises or hi[j] falls).  A check has
+    no use for them: at a point lo = hi every raise empties a domain before
+    ``_propagate_box`` reads them.
+    """
+
+    def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
+        super().__init__(p, lo, hi)
+        n = p.n
         self.containing = containing = [[] for _ in range(n)]
         self.raised_by = raised_by = [[] for _ in range(n)]
         self.touched_by = touched_by = [[] for _ in range(n)]
+        for s, sig in enumerate(self.vsigs):
+            for j in sig:
+                containing[j].append(s)
         for i, (vs, fs) in enumerate(zip(p.verifying_sigs, p.falsifying_sigs)):
-            row = []
-            for sig in vs:
-                s = ids.get(sig)
-                if s is None:
-                    s = ids[sig] = len(sums)
-                    sums.append(sum(map(lo.__getitem__, sig)))
-                    for j in sig:
-                        containing[j].append(s)
-                row.append(s)
-            vsig_ids.append(row)
             in_v = set().union(*vs)
             for j in in_v:
                 raised_by[j].append(i)
@@ -295,7 +301,9 @@ class _Box:
 
 def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
     """Tighten ``box.lo`` to its least fixpoint in place, keeping the
-    signature sums; False if some domain empties.
+    signature sums; False if some domain empties.  A raise that succeeds
+    reads the occurrence lists of a ``_SearchBox``; on a point box, as in
+    ``check_solution``, no raise succeeds.
 
     A FIFO worklist of rules, seeded with ``queue``.  Popping rule i
     raises lo[i] to its floor 1 + min_sig(V_i, lo) - min_sig(F_i, hi), and
@@ -319,8 +327,7 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
     finite value; no falsifying world satisfies its constraint vacuously.
     """
     lo, hi, sums = box.lo, box.hi, box.sums
-    vsig_ids, fsigs, raised_by = box.vsig_ids, box.fsigs, box.raised_by
-    containing, trail = box.containing, box.trail
+    vsig_ids, fsigs, trail = box.vsig_ids, box.fsigs, box.trail
     queue = deque(queue)
     queued = set(queue)
     fmin: dict[int, int] = {}
@@ -343,9 +350,10 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
             trail.append((i, lo[i], hi[i]))
             d = floor - lo[i]
             lo[i] = floor
-            for s in containing[i]:
+            # Only a search box gets here: at a point, floor > lo = hi.
+            for s in box.containing[i]:
                 sums[s] += d
-            for k in raised_by[i]:
+            for k in box.raised_by[i]:
                 if k not in queued:
                     queued.add(k)
                     queue.append(k)
@@ -373,7 +381,7 @@ def _search(
     and the trail length at its own fixpoint.  Before each of its children
     the box is undone to that length, which gives the fixpoint back."""
     n = p.n
-    box = _Box(p, [0] * n, [p.bound] * n)
+    box = _SearchBox(p, [0] * n, [p.bound] * n)
     lo, hi, sums, trail = box.lo, box.hi, box.sums, box.trail
     containing, touched_by = box.containing, box.touched_by
     values: list[int] = []
@@ -424,13 +432,17 @@ def _search(
             return
 
 
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+
+
 def enumerate_solutions(
     p: CRProblem, limit: int | None = None, deadline: float | None = None
 ) -> SolutionSet:
     """All solutions in the box, lexicographically; ``limit`` truncates and
     must be nonnegative."""
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
+    _check_limit(limit)
     vectors = tuple(islice(_search(p, deadline=deadline), limit))
     return SolutionSet(SolutionOrdering.ALL, p.bound, vectors)
 
@@ -482,10 +494,14 @@ def pareto_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     return SolutionSet(SolutionOrdering.COMPONENTWISE, p.bound, tuple(frontier))
 
 
-def ocf_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
+def ocf_min(
+    p: CRProblem, limit: int | None = None, deadline: float | None = None
+) -> SolutionSet:
     """Solutions whose induced ranking function is not pointwise-dominated
     by another solution's (dominance requires the two rankings to differ
-    somewhere; vectors inducing identical rankings are all retained)."""
+    somewhere; vectors inducing identical rankings are all retained), in
+    lexicographic order; ``limit`` truncates and must be nonnegative."""
+    _check_limit(limit)
     frontier = pareto_min(p, deadline=deadline).vectors
     sig_indices = [tuple(iter_bits(sig)) for sig in set(p.world_sigs)]
     by_ranking: dict[tuple[int, ...], list[KappaVector]] = {}
@@ -499,13 +515,19 @@ def ocf_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
             surviving.append(ranking)
     # A rule that no world falsifies has no falsifying signature; its
     # component takes every value of its box range without changing a rank.
-    # That can outgrow the search, so the deadline is checked per vector.
+    # Each vector's expansion is a product of ascending ranges, so it runs
+    # in lexicographic order.  Every frontier vector is 0 on the free
+    # components, so two of them differ elsewhere and their expansions
+    # merge without duplicates.  That can outgrow the search, so the merge
+    # stops at the limit and checks the deadline per vector.
     free = [None if fs else range(p.bound + 1) for fs in p.falsifying_sigs]
+    expansions = [
+        product(*((x,) if r is None else r for r, x in zip(free, v)))
+        for ranking in surviving
+        for v in by_ranking[ranking]
+    ]
     kept = []
-    for ranking in surviving:
-        for v in by_ranking[ranking]:
-            for expanded in product(*((x,) if r is None else r for r, x in zip(free, v))):
-                _check_deadline(deadline)
-                kept.append(expanded)
-    kept.sort()
+    for expanded in islice(heapq.merge(*expansions), limit):
+        _check_deadline(deadline)
+        kept.append(expanded)
     return SolutionSet(SolutionOrdering.INDUCED_OCF, p.bound, tuple(kept))

@@ -15,6 +15,15 @@ digits translated to one byte per world (``selector``,
 ``bytes.translate``), never in a Python loop over the bits of a 2**m-bit
 int.
 
+Per-world sums of weights over sets (``world_sums``) are computed in lanes:
+each world owns ``width`` bytes of one big int, the least width of 1, 2, 4
+or 8 bytes that holds the sum of all the weights.  Each signature column is
+translated into those lanes one byte plane at a time and added to the
+total as one int; since no world's sum exceeds the sum of all the weights,
+no lane carries into the next.  Weights that sum to 2**64 or more are
+split at bit 32, each part is summed apart (the high part split again
+while it needs to be) and the two tables are joined per world.
+
 A DNF term's models are the world of its positive literals completed by
 every assignment to the atoms the term leaves free: starting from the
 set {0}, each free bit doubles the set by a shift and an OR, and the
@@ -25,8 +34,8 @@ calls; every function here is pure.
 from __future__ import annotations
 
 import sys
-from itertools import compress, count, product, repeat
-from operator import add
+from array import array
+from itertools import compress, count, product
 from typing import Iterator, Sequence
 
 from .kb import Atom, Conditional, Formula, KnowledgeBase
@@ -73,17 +82,55 @@ def _signature_columns(sets: Sequence[WorldSet], m: int) -> list[bytes]:
 
 
 def world_sums(sets: Sequence[WorldSet], weights: Sequence[int], m: int) -> tuple[int, ...]:
-    """Per world w of 2**m, the sum of weights[j] over the sets j that hold w.
+    """Per world w of 2**m, the sum of the nonnegative weights[j] over the
+    sets j that hold w.
 
     Byte w of signature column g names the sets 8g..8g+7 that hold w, so
-    each column adds one entry of the subset sums of its eight weights."""
-    sums = repeat(0, 1 << m)
-    for g, column in enumerate(_signature_columns(sets, m)):
+    the column adds entry column[w] of the 256 subset sums of its eight
+    weights.  Each world owns a lane of ``width`` bytes, bytes w*width to
+    w*width + width-1 of one int, where width is the least of 1, 2, 4 and 8
+    with sum(weights) < 256**width.  The subset sums are packed as native
+    ints of width bytes; byte o of every entry forms plane o, the column
+    translated through plane o is written to byte o of every lane, and
+    all-zero planes are skipped.  So each lane holds its world's subset
+    sum as a native int, and the lanes, read as one int in the machine's
+    byte order, are added to a running total.  A lane never exceeds
+    sum(weights), so no addition carries from one lane into the next, and
+    every add is one big-int add in C.  The total is decoded once, as an
+    array of native ints of width bytes.
+
+    When sum(weights) >= 2**64, no width fits.  Each weight is split into
+    x >> 32 and x & 0xFFFFFFFF, each part is summed from the same columns
+    (the high part split again while its weights still sum to 2**64 or
+    more), and one Python pass over the worlds joins the two tables."""
+    return _lane_sums(_signature_columns(sets, m), weights, m)
+
+
+def _lane_sums(columns: list[bytes], weights: Sequence[int], m: int) -> tuple[int, ...]:
+    top = sum(weights)
+    if top >> 64:
+        high = _lane_sums(columns, [x >> 32 for x in weights], m)
+        low = _lane_sums(columns, [x & 0xFFFFFFFF for x in weights], m)
+        return tuple((h << 32) + lo for h, lo in zip(high, low))
+    width = 1
+    while top >> (8 * width):
+        width *= 2
+    code = "BHIQ"[width.bit_length() - 1]
+    size = width << m
+    total = 0
+    for g, column in enumerate(columns):
         table = [0]
         for x in weights[8 * g : 8 * g + 8]:
             table += [s + x for s in table]
-        sums = map(add, sums, map(table.__getitem__, column))
-    return tuple(sums)
+        # A last group of k < 8 sets has 2**k subset sums; translate needs 256.
+        packed = array(code, table).tobytes().ljust(width << 8, b"\0")
+        lanes = bytearray(size)
+        for o in range(width):
+            plane = packed[o::width]
+            if plane.strip(b"\0"):
+                lanes[o::width] = column.translate(plane)
+        total += int.from_bytes(lanes, sys.byteorder)
+    return tuple(memoryview(total.to_bytes(size, sys.byteorder)).cast(code))
 
 
 def world_signatures(sets: Sequence[WorldSet], m: int) -> tuple[int, ...]:

@@ -8,9 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from crsolve import parse_kb
 from crsolve.cli import main
 
-from tests.helpers import BIRDS_TEXT, PENGUINS_RANKS, PENGUINS_TEXT, penguins_kb, world_str
+from tests.helpers import (
+    BIRDS_TEXT,
+    PENGUINS_RANKS,
+    PENGUINS_TEXT,
+    induced_ranks_ref,
+    penguins_kb,
+    world_str,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -201,6 +209,13 @@ class TestShowOcf:
         for i, line in enumerate(lines):
             w = 31 - i
             assert line.split() == world_str(atoms, w).split() + [str(PENGUINS_RANKS[w])]
+
+    def test_component_past_64_bits(self, birds_file, capsys):
+        v = (2**64, 0, 1)
+        assert main(["show-ocf", "--vector", ",".join(map(str, v)), birds_file]) == 0
+        ranks = [int(line.split()[-1]) for line in capsys.readouterr().out.splitlines()]
+        assert ranks[::-1] == induced_ranks_ref(parse_kb(BIRDS_TEXT), v)
+        assert max(ranks) >= 2**64
 
     def test_json_records(self, penguins_file, capsys):
         assert main(["show-ocf", "--vector", "1,2,2,1,1", "--json", penguins_file]) == 0

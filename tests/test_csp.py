@@ -20,7 +20,7 @@ from crsolve import (
     solve_min_sum,
 )
 from crsolve import csp
-from crsolve.csp import _Box, _propagate_box
+from crsolve.csp import _propagate_box, _SearchBox
 
 from tests.helpers import (
     BIRDS_TEXT,
@@ -165,7 +165,7 @@ class TestCheckSolution:
 def propagate_box(p, lo=None, hi=None, queue=None):
     """(feasible, lo, hi) after propagating the box, or the given bounds,
     from every rule queued or only from ``queue``."""
-    box = _Box(p, [0] * p.n if lo is None else lo, [p.bound] * p.n if hi is None else hi)
+    box = _SearchBox(p, [0] * p.n if lo is None else lo, [p.bound] * p.n if hi is None else hi)
     queue = range(p.n) if queue is None else queue
     return _propagate_box(box, queue), box.lo, box.hi
 
@@ -259,7 +259,7 @@ class TestPropagate:
         for kb in kbs:
             p = build_problem(kb)
             compiled = compile_ref(kb)
-            touched_by = _Box(p, [0] * p.n, [p.bound] * p.n).touched_by
+            touched_by = _SearchBox(p, [0] * p.n, [p.bound] * p.n).touched_by
             # Carried state: labelling paths with backtracks through one box.
             depths = search_checking_nodes(kb, p, compiled, walks, monkeypatch)
             deep_nodes += sum(d >= 3 for d in depths)
@@ -471,6 +471,35 @@ class TestOcfMin:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
             ocf_min(build_problem(parse_kb(CONTRADICTORY_TEXT)))
+
+    def test_limit_stops_the_expansion(self):
+        # No world falsifies these rules, so every component is free and
+        # the whole result would be all 9**8 vectors of the box.
+        text = "vars: " + ", ".join(f"x{i}" for i in range(8)) + "\n"
+        text += "".join(f"rule: (top | x{i})\n" for i in range(8))
+        result = ocf_min(build_problem(parse_kb(text)), limit=3, deadline=perf_counter() + 5)
+        assert result.vectors == ((0,) * 8, (0,) * 7 + (1,), (0,) * 7 + (2,))
+
+    def test_limit_gives_a_prefix(self):
+        # Every other KB gets a rule that no world falsifies, whose
+        # component the expansion ranges over the box.
+        rng = random.Random(20261019)
+        longer = 0
+        for index in range(80):
+            text = random_kb_text(rng, 4, 4) + ("rule: (a | a)\n" if index % 2 else "")
+            problem = build_problem(parse_kb(text))
+            try:
+                full = ocf_min(problem).vectors
+            except InfeasibleError:
+                continue
+            for k in (0, 1, 2, 3, len(full)):
+                assert ocf_min(problem, limit=k).vectors == full[:k], text
+            longer += len(full) > 3
+        assert longer >= 10
+
+    def test_negative_limit_rejected(self, birds_problem):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            ocf_min(birds_problem, limit=-1)
 
 
 class TestOracleEquivalence:

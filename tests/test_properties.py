@@ -23,8 +23,8 @@ from crsolve import (
     render_kb,
     render_table,
 )
-from crsolve.csp import _Box, _propagate_box
-from crsolve.worlds import iter_bits, selector, world_signatures
+from crsolve.csp import _propagate_box, _SearchBox
+from crsolve.worlds import iter_bits, selector, world_signatures, world_sums
 
 from tests.helpers import (
     bits_ref,
@@ -113,13 +113,13 @@ def test_conjunction_is_intersection_of_world_sets(args):
 @given(kb_texts())
 def test_propagate_shrinks_and_is_idempotent(text):
     problem = build_problem(parse_kb(text))
-    box = _Box(problem, [0] * problem.n, [problem.bound] * problem.n)
+    box = _SearchBox(problem, [0] * problem.n, [problem.bound] * problem.n)
     lo, hi = box.lo, box.hi
     feasible = _propagate_box(box, range(problem.n))
     assert all(x >= 0 for x in lo)
     assert all(x <= problem.bound for x in hi)
     if feasible:
-        box2 = _Box(problem, lo, hi)
+        box2 = _SearchBox(problem, lo, hi)
         lo2, hi2 = box2.lo, box2.hi
         assert _propagate_box(box2, range(problem.n))
         assert (lo2, hi2) == (lo, hi)
@@ -208,6 +208,49 @@ def test_world_signatures_match_per_bit_test(args):
         sum(1 << j for j, ws in enumerate(sets) if (ws >> w) & 1) for w in range(2**m)
     ]
     assert world_signatures(sets, m) == tuple(expected)
+
+
+def _lane_edge(total):
+    # Ten sets over 2 atoms: world 0 is in all of them, so its sum is total.
+    parts = [total // 10] * 9
+    return 2, [15] * 9 + [5], parts + [total - sum(parts)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(0, 6), st.integers(0, 64), st.integers(0, 72)).flatmap(
+        lambda mnb: st.tuples(
+            st.just(mnb[0]),
+            st.lists(st.integers(0, 2 ** (2 ** mnb[0]) - 1), min_size=mnb[1], max_size=mnb[1]),
+            st.lists(
+                st.integers(0, mnb[2]).flatmap(lambda b: st.integers(0, 2**b)),
+                min_size=mnb[1],
+                max_size=mnb[1],
+            ),
+        )
+    )
+)
+@example((0, [], []))
+@example((3, [], []))
+@example(_lane_edge(255))
+@example(_lane_edge(256))
+@example(_lane_edge(2**16 - 1))
+@example(_lane_edge(2**16))
+@example(_lane_edge(2**32 - 1))
+@example(_lane_edge(2**32))
+@example(_lane_edge(2**64 - 1))
+@example(_lane_edge(2**64))
+@example(_lane_edge(2**100 + 2**64 + 2**32 + 1))
+def test_world_sums_match_per_bit_sum(args):
+    # Each weight has at most a drawn number of bits, up to 72, so the
+    # lane widths 1, 2, 4 and 8 and sums of 2**64 or more all occur.
+    m, sets, weights = args
+    expected = [
+        sum(x for ws, x in zip(sets, weights) if (ws >> w) & 1) for w in range(2**m)
+    ]
+    sums = world_sums(sets, weights, m)
+    assert type(sums) is tuple and all(type(x) is int for x in sums)
+    assert sums == tuple(expected)
 
 
 @given(kb_texts(), st.lists(st.integers(0, 12), min_size=3, max_size=3))
