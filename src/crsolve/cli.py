@@ -68,12 +68,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         result = SolutionSet(SolutionOrdering.SUM, problem.bound, (vector,), minimal_sum=minimal)
     elif args.mode == "min-all":
         result = all_min_sum(problem, deadline=deadline)
+        result = dataclasses.replace(result, vectors=result.vectors[: args.limit])
     elif args.mode == "pareto":
-        result = pareto_min(problem, deadline=deadline)
+        result = pareto_min(problem, limit=args.limit, deadline=deadline)
     else:
         result = ocf_min(problem, limit=args.limit, deadline=deadline)
-    if args.limit is not None and args.mode not in ("all", "ocf-min"):
-        result = dataclasses.replace(result, vectors=result.vectors[: args.limit])
     if args.json:
         print(json.dumps(result.as_dict()))
     else:

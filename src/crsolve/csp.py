@@ -26,6 +26,27 @@ which lists every signature after its proper subsets; each rule's
 candidates are filtered from that list in order, and the antichain is
 peeled off its front (``_minimal_signatures``).
 
+Compilation runs over only the m' <= m atoms that R's rules mention
+(``worlds.rule_partitions``), so declared atoms that no rule uses do not
+multiply the worlds it scans.  The output is the same as over all 2**m
+worlds.  Let U be the mentioned atoms and r(w) the restriction of a world
+w to U.  A term mentions only atoms of U, so whether w satisfies it
+depends on r(w) alone; a formula is a union of terms and V_i, F_i are
+built from formulas by intersection and complement, so w is in V_i (F_i)
+exactly when r(w) is in the V_i (F_i) computed over U.  Hence the
+signature of w, the set of rules it falsifies, is the signature of r(w)
+over U.  r maps the 2**m worlds onto the 2**m' worlds over U (extend any
+u by any values of the other atoms), so the set of pairs (signature,
+verifies rule i) met over all worlds is the set met over the worlds of
+U: the distinct signatures and each rule's V- and F-candidates are the
+same, and so are their minimal antichains.  The edge cases fit: a rule
+over ``top`` alone mentions no atom, and its sets are all worlds or none
+in both spaces; ``bot``'s term mentions the first atom but, being
+contradictory, holds no world in either; a KB without rules, or whose
+rules mention no atom, has m' = 0 and one world, the empty assignment,
+onto which r maps every world.  When the rules mention every atom, r is the
+identity and compilation scans all 2**m worlds as before.
+
 One labelling engine serves every solver.  Every search node, the root
 included, runs bounds propagation on entry:
 
@@ -103,8 +124,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .kb import KnowledgeBase
 from .worlds import (
-    build_partitions,
     iter_bits,
+    rule_partitions,
     selector,
     world_signatures,
 )
@@ -166,7 +187,12 @@ class SolutionSet:
 
 @dataclass(frozen=True)
 class CRProblem:
-    """Compiled constraint problem: signatures and the box [0, bound]^n."""
+    """Compiled constraint problem: signatures and the box [0, bound]^n.
+
+    ``world_sigs`` holds the distinct falsification signatures, ascending:
+    each is the bitmask of the rules (bit i for rule i+1) that some world
+    falsifies together.  It is the same set over all 2**m worlds and over
+    the worlds of the mentioned atoms, so it indexes no world."""
 
     bound: int
     world_sigs: tuple[int, ...]
@@ -208,22 +234,23 @@ def _minimal_signatures(masks: list[int], deadline: float | None) -> _SigSet:
 def build_problem(
     kb: KnowledgeBase, bound: int | None = None, deadline: float | None = None
 ) -> CRProblem:
-    """Compile CR(R): falsification signatures and the box [0, bound]^n
-    (bound defaults to n).  Raises SolveTimeout when the ``perf_counter``
-    deadline has passed; it is checked after the world-set, signature and
-    sorting passes, before each compiled rule and before every peel step
-    of ``_minimal_signatures``, so compilation overshoots it by at most
-    one such pass."""
-    verifying, falsifying = build_partitions(kb)
+    """Compile CR(R): falsification signatures, over the worlds of the
+    atoms the rules mention, and the box [0, bound]^n (bound defaults to
+    n).  Raises SolveTimeout when the ``perf_counter`` deadline has
+    passed; it is checked after the world-set, signature and sorting
+    passes, before each compiled rule and before every peel step of
+    ``_minimal_signatures``, so compilation overshoots it by at most one
+    such pass."""
+    m, verifying, falsifying = rule_partitions(kb)
     n = kb.n
     if bound is None:
         bound = n
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _check_deadline(deadline)
-    world_sigs = world_signatures(falsifying, kb.m)
+    world_sigs = world_signatures(falsifying, m)
     _check_deadline(deadline)
-    order = sorted(set(world_sigs))
+    order = tuple(sorted(set(world_sigs)))
     verifying_sigs = []
     falsifying_sigs = []
     for i in range(n):
@@ -234,7 +261,7 @@ def build_problem(
         verified = set(compress(world_sigs, selector(verifying[i])))
         verifying_sigs.append(_minimal_signatures([s for s in order if s in verified], deadline))
         falsifying_sigs.append(_minimal_signatures([s & ~bit for s in order if s & bit], deadline))
-    return CRProblem(bound, world_sigs, tuple(verifying_sigs), tuple(falsifying_sigs))
+    return CRProblem(bound, order, tuple(verifying_sigs), tuple(falsifying_sigs))
 
 
 def check_solution(p: CRProblem, v: KappaVector) -> bool:
@@ -480,18 +507,26 @@ def all_min_sum(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     return SolutionSet(SolutionOrdering.SUM, p.bound, tuple(vectors), minimal_sum=minimal)
 
 
-def pareto_min(p: CRProblem, deadline: float | None = None) -> SolutionSet:
+def pareto_min(
+    p: CRProblem, limit: int | None = None, deadline: float | None = None
+) -> SolutionSet:
     """Solutions not componentwise-dominated by any other solution in the
     box (a partial order: the result can be larger than the sum-minimal
-    set, and every sum-minimal solution is in it)."""
+    set, and every sum-minimal solution is in it), in lexicographic order;
+    ``limit`` truncates and must be nonnegative.  Raises InfeasibleError
+    when the box holds no solution, whatever the limit."""
+    _check_limit(limit)
     # Lexicographic order puts every dominator first, so the solutions
-    # yielded so far are the frontier found so far.
+    # yielded so far are the frontier found so far, and each is final:
+    # the search can stop at the limit.  It runs to one solution at
+    # least, which tells a feasible box from an infeasible one.
     frontier: list[KappaVector] = []
-    for v in _search(p, lambda lo: _dominated(frontier, lo), deadline):
+    search = _search(p, lambda lo: _dominated(frontier, lo), deadline)
+    for v in islice(search, None if limit is None else max(limit, 1)):
         frontier.append(v)
     if not frontier:
         raise InfeasibleError(p.bound, p.degenerate_rules)
-    return SolutionSet(SolutionOrdering.COMPONENTWISE, p.bound, tuple(frontier))
+    return SolutionSet(SolutionOrdering.COMPONENTWISE, p.bound, tuple(frontier[:limit]))
 
 
 def ocf_min(
@@ -503,7 +538,7 @@ def ocf_min(
     lexicographic order; ``limit`` truncates and must be nonnegative."""
     _check_limit(limit)
     frontier = pareto_min(p, deadline=deadline).vectors
-    sig_indices = [tuple(iter_bits(sig)) for sig in set(p.world_sigs)]
+    sig_indices = [tuple(iter_bits(sig)) for sig in p.world_sigs]
     by_ranking: dict[tuple[int, ...], list[KappaVector]] = {}
     for v in frontier:
         ranking = tuple(sum(v[j] for j in sig) for sig in sig_indices)

@@ -6,7 +6,9 @@ encoded; the compiler and the ranking layer ask it, never decode them.
 Worlds are dense integers in ``[0, 2**m)``.  The atom with index i occupies
 bit (m - i) of the world index, so the first declared atom is the most
 significant bit and descending index order is conventional truth-table
-reading order (the all-true world first).
+reading order (the all-true world first).  ``rule_partitions`` numbers
+the worlds over only the atoms a KB's rules mention the same way, with
+the unmentioned atoms' bits squeezed out of every term's masks.
 
 Sets of worlds are plain ints used as bitsets: bit w is set iff world w is
 in the set.  Every pass over the members of a set starts from its binary
@@ -177,6 +179,62 @@ def build_partitions(kb: KnowledgeBase) -> tuple[tuple[WorldSet, ...], tuple[Wor
     are disjoint; a KB without rules gives ``((), ())``."""
     splits = [conditional_worlds(c) for c in kb.conditionals]
     return tuple(v for v, _ in splits), tuple(f for _, f in splits)
+
+
+def rule_partitions(
+    kb: KnowledgeBase,
+) -> tuple[int, tuple[WorldSet, ...], tuple[WorldSet, ...]]:
+    """``build_partitions`` over only the atoms that the rules mention:
+    the triple (m', verifying, falsifying), where the sets hold worlds of
+    [0, 2**m') over those m' atoms, kept in declared order.
+
+    An atom is mentioned when some term of some rule has it in its masks;
+    ``top`` mentions none, and ``bot``'s term (first atom and its negation)
+    mentions the first declared atom.  World u over the m' atoms stands for
+    every world over all m atoms whose mentioned atoms take the values of
+    u, and such a world is in a set exactly when u is.  When every atom is
+    mentioned, m' = m and this is ``build_partitions``.
+
+    Otherwise each consistent term's models are read, as in
+    ``formula_worlds``, from its positive and its free bits, and only those
+    two masks are squeezed onto the mentioned atoms' bits: one unmentioned
+    bit at a time, highest first, which leaves every lower position where
+    it was."""
+    used = 0
+    for c in kb.conditionals:
+        for t in c.antecedent.terms + c.consequent.terms:
+            used |= t.pos | t.neg
+    unused = ((1 << kb.m) - 1) & ~used
+    if not unused:
+        return kb.m, *build_partitions(kb)
+    drop = [b for b in range(kb.m - 1, -1, -1) if unused >> b & 1]
+
+    def models(f: Formula) -> WorldSet:
+        ws = 0
+        for t in f.terms:
+            if t.pos & t.neg:
+                continue
+            pos = t.pos
+            free = ((1 << t.width) - 1) & ~(t.pos | t.neg)
+            for b in drop:
+                below = (1 << b) - 1
+                pos = pos >> 1 & ~below | pos & below
+                free = free >> 1 & ~below | free & below
+            sums = 1
+            while free:
+                low = free & -free
+                sums |= sums << low
+                free ^= low
+            ws |= sums << pos
+        return ws
+
+    verifying, falsifying = [], []
+    for c in kb.conditionals:
+        wa = models(c.antecedent)
+        wb = models(c.consequent)
+        verifying.append(wa & wb)
+        falsifying.append(wa & ~wb)
+    return kb.m - len(drop), tuple(verifying), tuple(falsifying)
 
 
 def _literal_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:

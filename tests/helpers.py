@@ -14,11 +14,11 @@ import random
 
 from crsolve import (
     Conditional,
-    CRProblem,
     Formula,
     KnowledgeBase,
     RankingFunction,
     Term,
+    build_partitions,
     parse_kb,
 )
 
@@ -195,17 +195,17 @@ def propagate_ref(kb, lo, hi, compiled=None) -> list[int] | None:
         lo = floors
 
 
-def falsified_sum(p: CRProblem, i: int, w: int, v: tuple[int, ...]) -> int:
-    """Sum of v[j] over rules j != i (1-based ids) falsified at world w,
-    read from the compiled ``world_sigs``."""
-    if not 1 <= i <= p.n:
-        raise ValueError(f"rule id {i} out of range 1..{p.n}")
-    if not 0 <= w < len(p.world_sigs):
+def falsified_sum(kb: KnowledgeBase, i: int, w: int, v: tuple[int, ...]) -> int:
+    """Sum of v[j] over rules j != i (1-based ids) falsified at world w of
+    all 2**m, read from the falsifying sets of ``build_partitions``."""
+    if not 1 <= i <= kb.n:
+        raise ValueError(f"rule id {i} out of range 1..{kb.n}")
+    if not 0 <= w < 1 << kb.m:
         raise ValueError(f"world index {w} out of range")
-    if len(v) != p.n:
-        raise ValueError(f"vector has length {len(v)}, expected {p.n}")
-    sig = p.world_sigs[w]
-    return sum(v[j] for j in range(p.n) if j != i - 1 and (sig >> j) & 1)
+    if len(v) != kb.n:
+        raise ValueError(f"vector has length {len(v)}, expected {kb.n}")
+    _, falsifying = build_partitions(kb)
+    return sum(v[j] for j in range(kb.n) if j != i - 1 and falsifying[j] >> w & 1)
 
 
 def brute_solutions(kb: KnowledgeBase, bound: int | None = None) -> list[tuple[int, ...]]:
@@ -315,3 +315,13 @@ def random_kb_text(rng: random.Random, max_atoms: int = 4, max_rules: int = 3) -
         ant = random_formula_text(rng, names)
         lines.append(f"rule: ({cons} | {ant})")
     return "\n".join(lines) + "\n"
+
+
+def with_unused_atoms(text: str, rng: random.Random, count: int) -> str:
+    """KB text with ``count`` atoms that no rule mentions, u0, u1, ...,
+    inserted at random places of its ``vars:`` line."""
+    head, _, rules = text.partition("\n")
+    names = head[len("vars: ") :].split(", ")
+    for k in range(count):
+        names.insert(rng.randint(0, len(names)), f"u{k}")
+    return "vars: " + ", ".join(names) + "\n" + rules

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crsolve import parse_kb
+from crsolve import gen_synthetic, parse_kb, render_kb
 from crsolve.cli import main
 
 from tests.helpers import (
@@ -52,6 +52,14 @@ class TestSolve:
     def test_all_with_limit(self, birds_file, capsys):
         assert main(["solve", "--mode", "all", "--limit", "5", birds_file]) == 0
         assert capsys.readouterr().out == "1 0 1\n1 0 2\n1 0 3\n1 1 0\n1 1 1\n"
+
+    def test_pareto_limit_stops_early(self, tmp_path, capsys):
+        # kb(10,19) has one frontier vector, found at once; proving there is
+        # no other takes well over the timeout.
+        path = tmp_path / "kb10.kb"
+        path.write_text(render_kb(gen_synthetic(10)))
+        assert main(["solve", "--mode", "pareto", "--limit", "1", "--timeout", "5", str(path)]) == 0
+        assert capsys.readouterr().out == "1 2 2 2 2 2 2 2 2 2 2 3 4 5 6 7 8 9 10\n"
 
     def test_min_penguins(self, penguins_file, capsys):
         assert main(["solve", "--mode", "min", penguins_file]) == 0

@@ -31,8 +31,10 @@ from tests.helpers import (
     minimal_sigs_ref,
     non_dominated_ref,
     ocf_min_ref,
+    partitions_ref,
     propagate_ref,
     random_kb_text,
+    with_unused_atoms,
 )
 
 CONTRADICTORY_TEXT = "vars: a\nrule: (a | top)\nrule: (!a | top)\n"
@@ -88,26 +90,26 @@ class TestMinimalSignatures:
 
 
 class TestFalsifiedSum:
-    def test_world_verifying_everything(self, birds_problem):
+    def test_world_verifying_everything(self, birds):
         # b f a verifies all three rules, so nothing contributes
-        assert falsified_sum(birds_problem, 2, 0b111, (1, 0, 1)) == 0
-        assert falsified_sum(birds_problem, 2, 0b111, (3, 3, 3)) == 0
+        assert falsified_sum(birds, 2, 0b111, (1, 0, 1)) == 0
+        assert falsified_sum(birds, 2, 0b111, (3, 3, 3)) == 0
 
-    def test_world_falsifying_rule1_only(self, birds_problem):
+    def test_world_falsifying_rule1_only(self, birds):
         # b !f a falsifies rule 1 only
-        assert falsified_sum(birds_problem, 2, 0b101, (1, 0, 1)) == 1
+        assert falsified_sum(birds, 2, 0b101, (1, 0, 1)) == 1
 
-    def test_excludes_own_rule(self, penguins_problem):
+    def test_excludes_own_rule(self, penguins):
         # p b f w k falsifies only rule 3, which is excluded for i=3
-        assert falsified_sum(penguins_problem, 3, 0b11111, (1, 2, 2, 1, 1)) == 0
+        assert falsified_sum(penguins, 3, 0b11111, (1, 2, 2, 1, 1)) == 0
 
-    def test_validation(self, birds_problem):
+    def test_validation(self, birds):
         with pytest.raises(ValueError):
-            falsified_sum(birds_problem, 0, 0, (1, 0, 1))
+            falsified_sum(birds, 0, 0, (1, 0, 1))
         with pytest.raises(ValueError):
-            falsified_sum(birds_problem, 1, 8, (1, 0, 1))
+            falsified_sum(birds, 1, 8, (1, 0, 1))
         with pytest.raises(ValueError):
-            falsified_sum(birds_problem, 1, 0, (1, 0))
+            falsified_sum(birds, 1, 0, (1, 0))
 
 
 class TestCheckSolution:
@@ -444,6 +446,38 @@ class TestParetoMin:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
             pareto_min(build_problem(parse_kb(CONTRADICTORY_TEXT)))
+        with pytest.raises(InfeasibleError):
+            pareto_min(build_problem(parse_kb(CONTRADICTORY_TEXT)), limit=0)
+
+    def test_limit_stops_the_search(self):
+        # The only frontier vector of kb(10,19) comes first; proving that
+        # no other exists takes far longer than the deadline.
+        p = build_problem(gen_synthetic(10))
+        result = pareto_min(p, limit=1, deadline=perf_counter() + 5)
+        assert result.vectors == (solve_min_sum(p)[1],)
+
+    def test_limit_gives_a_prefix(self):
+        # Repeated rules trade impact between their copies, which widens
+        # the frontier.
+        rng = random.Random(20261020)
+        longer = 0
+        for _ in range(80):
+            text = random_kb_text(rng, 4, 3)
+            rules = [line + "\n" for line in text.splitlines() if line.startswith("rule")]
+            text += "".join(rng.choices(rules, k=rng.randint(1, 3))) if rules else ""
+            problem = build_problem(parse_kb(text))
+            try:
+                full = pareto_min(problem).vectors
+            except InfeasibleError:
+                continue
+            for k in (0, 1, 2, 3, len(full)):
+                assert pareto_min(problem, limit=k).vectors == full[:k], text
+            longer += len(full) > 2
+        assert longer >= 5
+
+    def test_negative_limit_rejected(self, birds_problem):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            pareto_min(birds_problem, limit=-1)
 
 
 class TestOcfMin:
@@ -527,6 +561,81 @@ class TestOracleEquivalence:
         first = enumerate_solutions(build_problem(penguins), limit=20).vectors
         second = enumerate_solutions(build_problem(penguins), limit=20).vectors
         assert first == second
+
+
+class TestUnusedAtoms:
+    """Compilation over only the atoms the rules mention: atoms that no
+    rule uses change no signature and no answer."""
+
+    EDGE_TEXTS = [
+        "vars: a, b\nrule: (a | top)\n",
+        "vars: a, b\nrule: (bot | a)\n",
+        "vars: a, b\nrule: (top | top)\n",
+        "vars: a, b\nrule: (top | top)\nrule: (a | top)\nrule: (bot | a)\n",
+        "vars: a, b\n",
+    ]
+
+    @staticmethod
+    def answers(p):
+        """The answer of every search mode, or the error it raises."""
+        out = [enumerate_solutions(p).vectors]
+        for solve in (solve_min_sum, all_min_sum, pareto_min, ocf_min):
+            try:
+                result = solve(p)
+            except InfeasibleError as err:
+                result = str(err)
+            out.append(result)
+        return out
+
+    def test_matches_the_kb_without_them_and_the_oracle(self):
+        rng = random.Random(20261021)
+        texts = self.EDGE_TEXTS + [random_kb_text(rng, 4, 4) for _ in range(40)]
+        feasible = 0
+        for text in texts:
+            padded = with_unused_atoms(text, rng, rng.randint(1, 6))
+            kb = parse_kb(padded)
+            p, q = build_problem(kb), build_problem(parse_kb(text))
+            assert p == q, padded
+            # The oracles read every world over all the declared atoms.
+            ref_v, ref_f = minimal_sigs_ref(kb)
+            assert [set(s) for s in p.verifying_sigs] == ref_v, padded
+            assert [set(s) for s in p.falsifying_sigs] == ref_f, padded
+            _, falsifying = partitions_ref(kb)
+            fsets = [set(ws) for ws in falsifying]
+            sigs = {sum(1 << j for j in range(kb.n) if w in fsets[j]) for w in range(1 << kb.m)}
+            assert p.world_sigs == tuple(sorted(sigs))
+            assert self.answers(p) == self.answers(q), padded
+            oracle = brute_solutions(kb)
+            assert list(enumerate_solutions(p).vectors) == oracle, padded
+            if oracle:
+                feasible += 1
+                best = min(map(sum, oracle))
+                minima = [v for v in oracle if sum(v) == best]
+                assert solve_min_sum(p) == (best, minima[0])
+                assert list(all_min_sum(p).vectors) == minima
+                assert list(pareto_min(p).vectors) == non_dominated_ref(oracle)
+                assert list(ocf_min(p).vectors) == ocf_min_ref(kb)
+            compiled = compile_ref(kb)
+            for _ in range(12):
+                v = tuple(rng.randint(-1, p.bound + 1) for _ in range(p.n))
+                want = check_ref(kb, v, compiled)
+                assert check_solution(p, v) == check_solution(q, v) == want, (padded, v)
+        assert feasible >= 15
+
+    def test_twenty_declared_atoms(self):
+        # Eight rules over six of twenty atoms compile over 2**6 worlds.
+        rules = [
+            "x5 ; x7 | x2 ; x11 ; x13", "!x5 ; x17 | x7 ; x13 ; x2",
+            "x2 ; x17 | x7 ; x11 ; x5", "x11 ; x13 | x7 ; x5 ; x17",
+            "!x11 ; x2 | x13 ; x17 ; x7", "x7 ; x5 | x13 ; x17 ; x11",
+            "x17 ; !x5 | x13 ; x11 ; x2", "!x2 ; x13 | x17 ; x5 ; x11",
+        ]
+        body = "".join(f"rule: ({r})\n" for r in rules)
+        wide = parse_kb("vars: " + ", ".join(f"x{i}" for i in range(20)) + "\n" + body)
+        narrow = parse_kb("vars: x2, x5, x7, x11, x13, x17\n" + body)
+        p = build_problem(wide, deadline=perf_counter() + 0.05)
+        assert p == build_problem(narrow)
+        assert all_min_sum(p).vectors == ((1, 0, 1, 1, 1, 0, 1, 1), (1, 1, 1, 1, 1, 0, 0, 1))
 
 
 class TestDefaultBox:

@@ -5,14 +5,24 @@ import pytest
 from crsolve import (
     build_partitions,
     formula_worlds,
+    gen_synthetic,
     parse_formula,
     parse_kb,
     world_names,
 )
 from crsolve.kb import Atom, Term
-from crsolve.worlds import iter_bits
+from crsolve.worlds import iter_bits, rule_partitions
 
-from tests.helpers import eval_formula_ref, eval_term, full_set, indicator_ref, true_atoms
+from tests.helpers import (
+    eval_formula_ref,
+    eval_term,
+    full_set,
+    indicator_ref,
+    partitions_ref,
+    random_kb_text,
+    true_atoms,
+    with_unused_atoms,
+)
 
 # Penguin worlds by name, p most significant.
 PBFWK = 0b11111
@@ -170,6 +180,36 @@ class TestBuildPartitions:
                 status = indicator_ref(c, penguins, w)
                 assert ws_member(verifying[i], w) == (status == "v")
                 assert ws_member(falsifying[i], w) == (status == "f")
+
+
+class TestRulePartitions:
+    def test_every_atom_mentioned(self, penguins, birds):
+        for kb in (penguins, birds, gen_synthetic(5)):
+            assert rule_partitions(kb) == (kb.m, *build_partitions(kb))
+
+    def test_sets_over_the_mentioned_atoms(self):
+        # World w over all atoms is in a set exactly when its values on the
+        # mentioned atoms, read as a world over just those, are.
+        rng = random.Random(20261022)
+        texts = ["vars: a, b\n", "vars: a, b\nrule: (top | top)\n", "vars: a, b\nrule: (bot | b)\n"]
+        texts += [random_kb_text(rng, 4, 4) for _ in range(60)]
+        for text in texts:
+            kb = parse_kb(with_unused_atoms(text, rng, rng.randint(0, 4)))
+            terms = [t for c in kb.conditionals for f in (c.antecedent, c.consequent) for t in f.terms]
+            mentioned = sorted({i for t in terms for i, _ in t.literals()})
+            m, verifying, falsifying = rule_partitions(kb)
+            assert m == len(mentioned)
+            ref_v, ref_f = partitions_ref(kb)
+            for w in range(2**kb.m):
+                atoms = true_atoms(kb, w)
+                u = sum(
+                    1 << (m - 1 - k) for k, i in enumerate(mentioned) if kb.atoms[i - 1].name in atoms
+                )
+                for i in range(kb.n):
+                    assert ws_member(verifying[i], u) == (w in ref_v[i]), text
+                    assert ws_member(falsifying[i], u) == (w in ref_f[i]), text
+            for sets in (verifying, falsifying):
+                assert all(ws < 1 << (1 << m) for ws in sets)
 
 
 class TestRendering:
