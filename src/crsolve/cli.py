@@ -34,7 +34,7 @@ from .ocf import acceptance_ranks, induced_ocf, ocf_records, render_table
 
 
 def _load_kb(path: str) -> KnowledgeBase:
-    return parse_kb(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_kb(Path(path).read_text(encoding="utf-8"))
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:

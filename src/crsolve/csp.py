@@ -44,8 +44,8 @@ over ``top`` alone mentions no atom, and its sets are all worlds or none
 in both spaces; ``bot``'s term mentions the first atom but, being
 contradictory, holds no world in either; a KB without rules, or whose
 rules mention no atom, has m' = 0 and one world, the empty assignment,
-onto which r maps every world.  When the rules mention every atom, r is the
-identity and compilation scans all 2**m worlds as before.
+onto which r maps every world.  When the rules mention every atom, m' = m,
+r is the identity and compilation scans all 2**m worlds.
 
 One labelling engine serves every solver.  Every search node, the root
 included, runs bounds propagation on entry:

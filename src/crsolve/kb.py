@@ -2,7 +2,8 @@
 
 A knowledge base is a finite list of default rules ("conditionals") over a
 fixed, ordered alphabet of propositional atoms.  The rule ``(B | A)`` reads
-"if A then normally B".  The on-disk format is UTF-8 and line based:
+"if A then normally B".  The on-disk format is UTF-8 and line based (one
+leading byte-order mark is ignored):
 
     # penguins, birds, and kiwis
     vars: p, b, f, w, k
@@ -321,8 +322,10 @@ def parse_kb(text: str) -> KnowledgeBase:
     """Parse knowledge-base text into a validated :class:`KnowledgeBase`.
 
     Atom order is declaration order; conditional ids follow file order.
+    One leading U+FEFF (a byte-order mark) is dropped before parsing.
     Raises :class:`KBSyntaxError` (with line and column) on any rejection.
     """
+    text = text.removeprefix("\ufeff")
     atoms: tuple[Atom, ...] | None = None
     atom_index: dict[str, int] = {}
     conditionals: list[Conditional] = []

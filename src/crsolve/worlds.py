@@ -7,8 +7,7 @@ Worlds are dense integers in ``[0, 2**m)``.  The atom with index i occupies
 bit (m - i) of the world index, so the first declared atom is the most
 significant bit and descending index order is conventional truth-table
 reading order (the all-true world first).  ``rule_partitions`` numbers
-the worlds over only the atoms a KB's rules mention the same way, with
-the unmentioned atoms' bits squeezed out of every term's masks.
+the worlds over only the atoms a KB's rules mention the same way.
 
 Sets of worlds are plain ints used as bitsets: bit w is set iff world w is
 in the set.  Every pass over the members of a set starts from its binary
@@ -26,11 +25,15 @@ no lane carries into the next.  Weights that sum to 2**64 or more are
 split at bit 32, each part is summed apart (the high part split again
 while it needs to be) and the two tables are joined per world.
 
-A DNF term's models are the world of its positive literals completed by
-every assignment to the atoms the term leaves free: starting from the
-set {0}, each free bit doubles the set by a shift and an OR, and the
-result is shifted onto the positive literals.  Nothing is cached between
-calls; every function here is pure.
+Every world set is built by one term loop (``_models``).  A DNF term's
+models are the world of its positive literals completed by every
+assignment to the atoms the term leaves free: starting from the set {0},
+each free bit doubles the set by a shift and an OR, and the result is
+shifted onto the positive literals.  To number worlds over fewer atoms,
+the loop first squeezes the dropped atoms' bits out of the positive and
+free masks, one bit at a time, highest first, which leaves every lower
+position where it was; dropping none gives the worlds over all atoms.
+Nothing is cached between calls; every function here is pure.
 """
 
 from __future__ import annotations
@@ -45,9 +48,8 @@ from .kb import Atom, Conditional, Formula, KnowledgeBase
 WorldSet = int
 
 
-# Translations of bin() digits to bytes: 0/1 for selectors, and 0/(1 << k)
-# for bit k of the bytes of signature columns.
-_SELECT = bytes.maketrans(b"01", b"\x00\x01")
+# Translations of bin() digits to bytes 0 or 1 << k, for bit k of the bytes
+# of signature columns; k = 0 gives the 0/1 bytes of selectors.
 _BIT_OF_BYTE = tuple(bytes.maketrans(b"01", bytes((0, 1 << k))) for k in range(8))
 
 
@@ -57,7 +59,7 @@ def selector(bits: int) -> bytes:
     for 0).  Feed it to ``itertools.compress`` to pick the entries of a
     per-world table that belong to a world set, in time linear in 2**m."""
     # bin(bits)[:1:-1] is the binary digits, least significant first.
-    return bin(bits)[:1:-1].encode().translate(_SELECT)
+    return bin(bits)[:1:-1].encode().translate(_BIT_OF_BYTE[0])
 
 
 def iter_bits(bits: int) -> Iterator[int]:
@@ -149,36 +151,57 @@ def world_signatures(sets: Sequence[WorldSet], m: int) -> tuple[int, ...]:
     return tuple(memoryview(table).cast("BHIQ"[width.bit_length() - 1]))
 
 
-def formula_worlds(f: Formula) -> WorldSet:
-    """The set of worlds satisfying the formula (union over DNF terms)."""
+def _models(f: Formula, drop: Sequence[int]) -> WorldSet:
+    """The worlds satisfying f over the atoms left once the bit positions
+    in ``drop``, highest first, are squeezed out; ``()`` keeps all atoms."""
     ws = 0
     for t in f.terms:
-        if t.pos & t.neg:
+        pos, neg = t.pos, t.neg
+        if pos & neg:
             continue
+        free = ((1 << t.width) - 1) & ~(pos | neg)
+        for b in drop:
+            below = (1 << b) - 1
+            pos = pos >> 1 & ~below | pos & below
+            free = free >> 1 & ~below | free & below
         # The subset sums of the free bits, one doubling per free bit.
         sums = 1
-        free = ((1 << t.width) - 1) & ~(t.pos | t.neg)
         while free:
             low = free & -free
             sums |= sums << low
             free ^= low
-        ws |= sums << t.pos
+        ws |= sums << pos
     return ws
+
+
+def _partitions(
+    conditionals: Sequence[Conditional], drop: Sequence[int]
+) -> tuple[tuple[WorldSet, ...], tuple[WorldSet, ...]]:
+    verifying, falsifying = [], []
+    for c in conditionals:
+        wa = _models(c.antecedent, drop)
+        wb = _models(c.consequent, drop)
+        verifying.append(wa & wb)
+        falsifying.append(wa & ~wb)
+    return tuple(verifying), tuple(falsifying)
+
+
+def formula_worlds(f: Formula) -> WorldSet:
+    """The set of worlds satisfying the formula (union over DNF terms)."""
+    return _models(f, ())
 
 
 def conditional_worlds(c: Conditional) -> tuple[WorldSet, WorldSet]:
     """The worlds verifying (B|A), A-and-B, and falsifying it, A-and-not-B."""
-    wa = formula_worlds(c.antecedent)
-    wb = formula_worlds(c.consequent)
-    return wa & wb, wa & ~wb
+    (verifying,), (falsifying,) = _partitions((c,), ())
+    return verifying, falsifying
 
 
 def build_partitions(kb: KnowledgeBase) -> tuple[tuple[WorldSet, ...], tuple[WorldSet, ...]]:
     """The pair (verifying, falsifying): entry i of each is the set of
     worlds verifying, resp. falsifying, rule i+1.  The two sets of a rule
     are disjoint; a KB without rules gives ``((), ())``."""
-    splits = [conditional_worlds(c) for c in kb.conditionals]
-    return tuple(v for v, _ in splits), tuple(f for _, f in splits)
+    return _partitions(kb.conditionals, ())
 
 
 def rule_partitions(
@@ -192,49 +215,16 @@ def rule_partitions(
     ``top`` mentions none, and ``bot``'s term (first atom and its negation)
     mentions the first declared atom.  World u over the m' atoms stands for
     every world over all m atoms whose mentioned atoms take the values of
-    u, and such a world is in a set exactly when u is.  When every atom is
-    mentioned, m' = m and this is ``build_partitions``.
-
-    Otherwise each consistent term's models are read, as in
-    ``formula_worlds``, from its positive and its free bits, and only those
-    two masks are squeezed onto the mentioned atoms' bits: one unmentioned
-    bit at a time, highest first, which leaves every lower position where
-    it was."""
+    u, and such a world is in a set exactly when u is.  The sets come from
+    the builder of ``build_partitions``, told to squeeze out the unmentioned
+    atoms' bits; when every atom is mentioned it squeezes out nothing, so
+    m' = m and the sets are those of ``build_partitions``."""
     used = 0
     for c in kb.conditionals:
         for t in c.antecedent.terms + c.consequent.terms:
             used |= t.pos | t.neg
-    unused = ((1 << kb.m) - 1) & ~used
-    if not unused:
-        return kb.m, *build_partitions(kb)
-    drop = [b for b in range(kb.m - 1, -1, -1) if unused >> b & 1]
-
-    def models(f: Formula) -> WorldSet:
-        ws = 0
-        for t in f.terms:
-            if t.pos & t.neg:
-                continue
-            pos = t.pos
-            free = ((1 << t.width) - 1) & ~(t.pos | t.neg)
-            for b in drop:
-                below = (1 << b) - 1
-                pos = pos >> 1 & ~below | pos & below
-                free = free >> 1 & ~below | free & below
-            sums = 1
-            while free:
-                low = free & -free
-                sums |= sums << low
-                free ^= low
-            ws |= sums << pos
-        return ws
-
-    verifying, falsifying = [], []
-    for c in kb.conditionals:
-        wa = models(c.antecedent)
-        wb = models(c.consequent)
-        verifying.append(wa & wb)
-        falsifying.append(wa & ~wb)
-    return kb.m - len(drop), tuple(verifying), tuple(falsifying)
+    drop = [b for b in range(kb.m - 1, -1, -1) if not used >> b & 1]
+    return kb.m - len(drop), *_partitions(kb.conditionals, drop)
 
 
 def _literal_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:

@@ -95,6 +95,26 @@ class TestParseKBErrors:
             parse_kb("vars: ab\nrule: (ab | cd)")
         assert (err.value.line, err.value.column) == (2, 13)
 
+    def test_one_leading_byte_order_mark_is_dropped(self):
+        for text in (BIRDS_TEXT, PENGUINS_TEXT, "vars: a\n"):
+            assert parse_kb("\ufeff" + text) == parse_kb(text)
+        for text in ("vars: a, a", "vars: a, 1b", "  what is this"):
+            with pytest.raises(KBSyntaxError) as plain:
+                parse_kb(text)
+            with pytest.raises(KBSyntaxError) as bom:
+                parse_kb("\ufeff" + text)
+            assert plain.value.line == bom.value.line == 1
+            assert plain.value.column == bom.value.column
+        # Only one mark, and only at the very start.
+        for text in (
+            "\ufeff\ufeffvars: a",
+            "vars: a\n\ufeffrule: (a | top)",
+            "vars: a\ufeff",
+            "vars: a\nrule: (a | \ufefftop)",
+        ):
+            with pytest.raises(KBSyntaxError):
+                parse_kb(text)
+
     def test_atom_cap(self):
         names = ", ".join(f"x{i}" for i in range(21))
         with pytest.raises(KBSyntaxError, match="too many atoms"):

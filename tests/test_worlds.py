@@ -182,9 +182,24 @@ class TestBuildPartitions:
                 assert ws_member(falsifying[i], w) == (status == "f")
 
 
+def mentioned_atoms(kb):
+    """The indices of the atoms that some term of some rule has in its masks."""
+    terms = [t for c in kb.conditionals for f in (c.antecedent, c.consequent) for t in f.terms]
+    return sorted({i for t in terms for i, _ in t.literals()})
+
+
 class TestRulePartitions:
     def test_every_atom_mentioned(self, penguins, birds):
-        for kb in (penguins, birds, gen_synthetic(5)):
+        # Squeezing out no atom must give build_partitions exactly.
+        kbs = [penguins, birds, gen_synthetic(5)]
+        kbs += [parse_kb("vars: a, b\nrule: (a | b)\nrule: (top | top)\n")]
+        kbs += [parse_kb("vars: a, b\nrule: (bot | b)\n"), parse_kb("vars: a\nrule: (a | bot)\n")]
+        rng = random.Random(20261019)
+        while len(kbs) < 60:
+            kb = parse_kb(random_kb_text(rng, 4, 4))
+            if len(mentioned_atoms(kb)) == kb.m:
+                kbs.append(kb)
+        for kb in kbs:
             assert rule_partitions(kb) == (kb.m, *build_partitions(kb))
 
     def test_sets_over_the_mentioned_atoms(self):
@@ -195,8 +210,7 @@ class TestRulePartitions:
         texts += [random_kb_text(rng, 4, 4) for _ in range(60)]
         for text in texts:
             kb = parse_kb(with_unused_atoms(text, rng, rng.randint(0, 4)))
-            terms = [t for c in kb.conditionals for f in (c.antecedent, c.consequent) for t in f.terms]
-            mentioned = sorted({i for t in terms for i, _ in t.literals()})
+            mentioned = mentioned_atoms(kb)
             m, verifying, falsifying = rule_partitions(kb)
             assert m == len(mentioned)
             ref_v, ref_f = partitions_ref(kb)
