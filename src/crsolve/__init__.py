@@ -30,7 +30,6 @@ from .kb import (
     KnowledgeBase,
     Term,
     parse_conditional,
-    parse_formula,
     parse_kb,
     render_formula,
     render_kb,
@@ -43,14 +42,11 @@ from .ocf import (
     accepts,
     induced_ocf,
     ocf_records,
-    rank_conditional,
-    rank_formula,
     render_table,
 )
 from .worlds import (
     WorldSet,
     build_partitions,
-    formula_worlds,
     world_names,
 )
 
@@ -82,17 +78,13 @@ __all__ = [
     "build_problem",
     "check_solution",
     "enumerate_solutions",
-    "formula_worlds",
     "gen_synthetic",
     "induced_ocf",
     "ocf_min",
     "ocf_records",
     "parse_conditional",
-    "parse_formula",
     "parse_kb",
     "pareto_min",
-    "rank_conditional",
-    "rank_formula",
     "render_formula",
     "render_kb",
     "render_table",

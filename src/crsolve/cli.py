@@ -87,21 +87,25 @@ def _cmd_query(args: argparse.Namespace) -> int:
     kb = _load_kb(args.file)
     conditional = parse_conditional(args.conditional, kb.atoms)
     if args.vector is not None:
-        vector = _parse_vector(args.vector)
+        vectors = (_parse_vector(args.vector),)
     else:
-        minima = all_min_sum(build_problem(kb))
-        vector = minima.vectors[0]
-        if len(minima.vectors) > 1:
+        vectors = all_min_sum(build_problem(kb)).vectors
+        if len(vectors) > 1:
             print(
-                f"note: {len(minima.vectors)} sum-minimal solutions exist; "
-                "using the lexicographically least",
+                f"note: {len(vectors)} sum-minimal solutions exist; deciding over all of them",
                 file=sys.stderr,
             )
-    ranking = induced_ocf(kb, vector)
-    verified, falsified = acceptance_ranks(ranking, conditional)
-    print("ACCEPTED" if verified < falsified else "REJECTED")
-    print(f"verifying rank: {verified}")
-    print(f"falsifying rank: {falsified}")
+    answers = [acceptance_ranks(induced_ocf(kb, v), conditional) for v in vectors]
+    accepted = sum(verified < falsified for verified, falsified in answers)
+    if accepted == len(answers):
+        print("ACCEPTED")
+    elif not accepted:
+        print("REJECTED")
+    else:
+        print(f"UNDECIDED: accepted by {accepted} of {len(answers)} sum-minimal solutions")
+    for side, ranks in zip(("verifying", "falsifying"), zip(*answers)):
+        lo, hi = min(ranks), max(ranks)
+        print(f"{side} rank: {lo}" if lo == hi else f"{side} rank: {lo}..{hi}")
     return 0
 
 
@@ -162,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="test whether a conditional is accepted")
     source = query.add_mutually_exclusive_group(required=True)
-    source.add_argument("--min", action="store_true", help="use the least sum-minimal solution")
+    source.add_argument("--min", action="store_true", help="decide over every sum-minimal solution")
     source.add_argument("--vector", help="comma-separated solution vector")
     query.add_argument("conditional", help='query conditional, e.g. "(w | k)"')
     query.add_argument("file")

@@ -243,12 +243,6 @@ def _index_of(atoms: tuple[Atom, ...]) -> dict[str, int]:
     return {a.name: a.index for a in atoms}
 
 
-def parse_formula(text: str, atoms: tuple[Atom, ...]) -> Formula:
-    """Parse a standalone formula over the given alphabet into DNF."""
-    parser = _FormulaParser(text, 1, 1, _index_of(atoms))
-    return Formula(parser.parse())
-
-
 def _parse_conditional_body(
     line: str, start: int, lineno: int, atom_index: dict[str, int]
 ) -> tuple[Formula, Formula]:

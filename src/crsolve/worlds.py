@@ -1,4 +1,5 @@
-"""World semantics: formula evaluation over all 2**m interpretations.
+"""World semantics: the world sets of rules and queries, and per-world
+tables over them.
 
 This module alone knows how worlds, world sets and per-world tables are
 encoded; the compiler and the ranking layer ask it, never decode them.
@@ -7,7 +8,8 @@ Worlds are dense integers in ``[0, 2**m)``.  The atom with index i occupies
 bit (m - i) of the world index, so the first declared atom is the most
 significant bit and descending index order is conventional truth-table
 reading order (the all-true world first).  ``rule_partitions`` numbers
-the worlds over only the atoms a KB's rules mention the same way.
+the worlds over only the atoms that a KB's rules, and a query if given,
+mention the same way.
 
 Sets of worlds are plain ints used as bitsets: bit w is set iff world w is
 in the set.  Every pass over the members of a set starts from its binary
@@ -186,17 +188,6 @@ def _partitions(
     return tuple(verifying), tuple(falsifying)
 
 
-def formula_worlds(f: Formula) -> WorldSet:
-    """The set of worlds satisfying the formula (union over DNF terms)."""
-    return _models(f, ())
-
-
-def conditional_worlds(c: Conditional) -> tuple[WorldSet, WorldSet]:
-    """The worlds verifying (B|A), A-and-B, and falsifying it, A-and-not-B."""
-    (verifying,), (falsifying,) = _partitions((c,), ())
-    return verifying, falsifying
-
-
 def build_partitions(kb: KnowledgeBase) -> tuple[tuple[WorldSet, ...], tuple[WorldSet, ...]]:
     """The pair (verifying, falsifying): entry i of each is the set of
     worlds verifying, resp. falsifying, rule i+1.  The two sets of a rule
@@ -205,26 +196,28 @@ def build_partitions(kb: KnowledgeBase) -> tuple[tuple[WorldSet, ...], tuple[Wor
 
 
 def rule_partitions(
-    kb: KnowledgeBase,
+    kb: KnowledgeBase, extra: Sequence[Conditional] = ()
 ) -> tuple[int, tuple[WorldSet, ...], tuple[WorldSet, ...]]:
-    """``build_partitions`` over only the atoms that the rules mention:
-    the triple (m', verifying, falsifying), where the sets hold worlds of
-    [0, 2**m') over those m' atoms, kept in declared order.
+    """``build_partitions`` of the rules followed by the conditionals in
+    ``extra``, over only the atoms that they mention: the triple (m',
+    verifying, falsifying), where the sets hold worlds of [0, 2**m') over
+    those m' atoms, kept in declared order.
 
-    An atom is mentioned when some term of some rule has it in its masks;
-    ``top`` mentions none, and ``bot``'s term (first atom and its negation)
-    mentions the first declared atom.  World u over the m' atoms stands for
-    every world over all m atoms whose mentioned atoms take the values of
-    u, and such a world is in a set exactly when u is.  The sets come from
-    the builder of ``build_partitions``, told to squeeze out the unmentioned
-    atoms' bits; when every atom is mentioned it squeezes out nothing, so
-    m' = m and the sets are those of ``build_partitions``."""
+    An atom is mentioned when some term of some conditional has it in its
+    masks; ``top`` mentions none, and ``bot``'s term (first atom and its
+    negation) mentions the first declared atom.  World u over the m' atoms
+    stands for every world over all m atoms whose mentioned atoms take the
+    values of u, and such a world is in a set exactly when u is.  The sets
+    come from the builder of ``build_partitions``, told to squeeze out the
+    unmentioned atoms' bits; when every atom is mentioned it squeezes out
+    nothing, so m' = m and the sets are those of ``build_partitions``."""
+    conditionals = kb.conditionals + tuple(extra)
     used = 0
-    for c in kb.conditionals:
+    for c in conditionals:
         for t in c.antecedent.terms + c.consequent.terms:
             used |= t.pos | t.neg
     drop = [b for b in range(kb.m - 1, -1, -1) if not used >> b & 1]
-    return kb.m - len(drop), *_partitions(kb.conditionals, drop)
+    return kb.m - len(drop), *_partitions(conditionals, drop)
 
 
 def _literal_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:

@@ -19,6 +19,7 @@ from crsolve import (
     RankingFunction,
     Term,
     build_partitions,
+    parse_conditional,
     parse_kb,
 )
 
@@ -61,6 +62,13 @@ def penguins_kb() -> KnowledgeBase:
 def full_set(m: int) -> int:
     """The set of all 2**m worlds, as a bitset."""
     return (1 << (1 << m)) - 1
+
+
+def formula_set(atoms, text: str) -> int:
+    """The worlds over ``atoms`` that satisfy the formula ``text``: the
+    verifying set of the one rule (text | top), from ``build_partitions``."""
+    rule = parse_conditional(f"({text} | top)", atoms)
+    return build_partitions(KnowledgeBase(atoms, (rule,)))[0][0]
 
 
 def true_atoms(kb: KnowledgeBase, w: int) -> set[str]:

@@ -3,7 +3,6 @@ import pytest
 from crsolve import (
     KBSyntaxError,
     parse_conditional,
-    parse_formula,
     parse_kb,
     render_formula,
     render_kb,
@@ -15,6 +14,11 @@ from tests.helpers import BIRDS_TEXT, PENGUINS_TEXT
 
 def bit(m, index):
     return 1 << (m - index)
+
+
+def formula(text, atoms):
+    """The formula ``text``, parsed as the consequent of (text | top)."""
+    return parse_conditional(f"({text} | top)", atoms).consequent
 
 
 class TestParseKB:
@@ -128,50 +132,50 @@ class TestParseKBErrors:
 
 class TestParseFormula:
     def test_single_literal(self, penguins):
-        f = parse_formula("b", penguins.atoms)
+        f = formula("b", penguins.atoms)
         assert f.terms == (Term(5, bit(5, 2), 0),)
 
     def test_literal_conjunction(self, penguins):
-        f = parse_formula("p, !f", penguins.atoms)
+        f = formula("p, !f", penguins.atoms)
         assert f.terms == (Term(5, bit(5, 1), bit(5, 3)),)
 
     def test_disjunction_splits_terms(self, penguins):
-        f = parse_formula("b ; k", penguins.atoms)
+        f = formula("b ; k", penguins.atoms)
         assert f.terms == (Term(5, bit(5, 2), 0), Term(5, 0 | bit(5, 5), 0))
 
     def test_bot_is_one_contradictory_term(self, penguins):
-        f = parse_formula("bot", penguins.atoms)
+        f = formula("bot", penguins.atoms)
         assert f.terms == (Term(5, bit(5, 1), bit(5, 1)),)
 
     def test_negated_constants(self, penguins):
-        assert parse_formula("!top", penguins.atoms).terms == parse_formula("bot", penguins.atoms).terms
-        assert parse_formula("!bot", penguins.atoms).terms == parse_formula("top", penguins.atoms).terms
+        assert formula("!top", penguins.atoms).terms == formula("bot", penguins.atoms).terms
+        assert formula("!bot", penguins.atoms).terms == formula("top", penguins.atoms).terms
 
     def test_parenthesized_disjunction_distributes(self, penguins):
-        f = parse_formula("p, (b ; k)", penguins.atoms)
+        f = formula("p, (b ; k)", penguins.atoms)
         assert f.terms == (
             Term(5, bit(5, 1) | bit(5, 2), 0),
             Term(5, bit(5, 1) | bit(5, 5), 0),
         )
 
     def test_contradictory_conjunction_allowed(self, penguins):
-        f = parse_formula("p, !p", penguins.atoms)
+        f = formula("p, !p", penguins.atoms)
         assert f.terms == (Term(5, bit(5, 1), bit(5, 1)),)
 
     def test_source_ignored_by_equality(self, penguins):
-        assert parse_formula("b", penguins.atoms) == parse_formula("  b ", penguins.atoms)
+        assert formula("b", penguins.atoms) == formula("  b ", penguins.atoms)
 
     def test_never_empty_term_list(self, penguins):
         for text in ["bot", "top", "p", "!p", "bot ; bot", "p, bot"]:
-            assert len(parse_formula(text, penguins.atoms).terms) >= 1
+            assert len(formula(text, penguins.atoms).terms) >= 1
 
     def test_unknown_atom(self, penguins):
         with pytest.raises(KBSyntaxError, match="unknown atom"):
-            parse_formula("q", penguins.atoms)
+            formula("q", penguins.atoms)
 
     def test_trailing_garbage(self, penguins):
         with pytest.raises(KBSyntaxError, match="unexpected character"):
-            parse_formula("p !f", penguins.atoms)
+            formula("p !f", penguins.atoms)
 
 
 class TestParseConditional:
@@ -198,5 +202,5 @@ class TestRoundTrip:
         assert "a, !a" in rendered
 
     def test_render_formula_spells_top(self, penguins):
-        f = parse_formula("top", penguins.atoms)
+        f = formula("top", penguins.atoms)
         assert render_formula(f, penguins.atoms) == "top"

@@ -14,10 +14,8 @@ from crsolve import (
     build_problem,
     check_solution,
     enumerate_solutions,
-    formula_worlds,
     induced_ocf,
     ocf_records,
-    parse_formula,
     parse_kb,
     pareto_min,
     render_kb,
@@ -31,6 +29,7 @@ from tests.helpers import (
     brute_solutions,
     check_ref,
     compile_ref,
+    formula_set,
     full_set,
     indicator_ref,
     induced_ranks_ref,
@@ -94,20 +93,16 @@ def test_tri_partition_and_indicator_agreement(text):
 def test_disjunction_is_union_of_world_sets(args):
     m, f1, f2 = args
     atoms = parse_kb("vars: " + ", ".join(NAMES[:m])).atoms
-    combined = parse_formula(f"({f1}) ; ({f2})", atoms)
-    assert formula_worlds(combined) == formula_worlds(parse_formula(f1, atoms)) | formula_worlds(
-        parse_formula(f2, atoms)
-    )
+    combined = formula_set(atoms, f"({f1}) ; ({f2})")
+    assert combined == formula_set(atoms, f1) | formula_set(atoms, f2)
 
 
 @given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), formula_texts(NAMES[:m]), formula_texts(NAMES[:m]))))
 def test_conjunction_is_intersection_of_world_sets(args):
     m, f1, f2 = args
     atoms = parse_kb("vars: " + ", ".join(NAMES[:m])).atoms
-    combined = parse_formula(f"({f1}), ({f2})", atoms)
-    assert formula_worlds(combined) == formula_worlds(parse_formula(f1, atoms)) & formula_worlds(
-        parse_formula(f2, atoms)
-    )
+    combined = formula_set(atoms, f"({f1}), ({f2})")
+    assert combined == formula_set(atoms, f1) & formula_set(atoms, f2)
 
 
 @given(kb_texts())

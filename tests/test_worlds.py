@@ -3,10 +3,10 @@ import random
 import pytest
 
 from crsolve import (
+    KnowledgeBase,
     build_partitions,
-    formula_worlds,
     gen_synthetic,
-    parse_formula,
+    parse_conditional,
     parse_kb,
     world_names,
 )
@@ -16,9 +16,11 @@ from crsolve.worlds import iter_bits, rule_partitions
 from tests.helpers import (
     eval_formula_ref,
     eval_term,
+    formula_set,
     full_set,
     indicator_ref,
     partitions_ref,
+    random_formula_text,
     random_kb_text,
     true_atoms,
     with_unused_atoms,
@@ -55,23 +57,23 @@ class TestEvalTerm:
 
 class TestFormulaWorlds:
     def test_single_literal_has_half_the_worlds(self, penguins):
-        ws = formula_worlds(parse_formula("b", penguins.atoms))
+        ws = formula_set(penguins.atoms, "b")
         assert ws.bit_count() == 16
         assert ws == sum(1 << w for w in range(32) if w & 0b01000)
 
     def test_top_is_all_worlds(self, penguins):
-        assert formula_worlds(parse_formula("top", penguins.atoms)) == full_set(5)
+        assert formula_set(penguins.atoms, "top") == full_set(5)
 
     def test_bot_is_empty(self, penguins):
-        assert formula_worlds(parse_formula("bot", penguins.atoms)) == 0
+        assert formula_set(penguins.atoms, "bot") == 0
 
     def test_conjunction_against_brute_force(self, penguins):
-        f = parse_formula("p, !f", penguins.atoms)
+        f = parse_conditional("(p, !f | top)", penguins.atoms).consequent
         expected = 0
         for w in range(32):
             if eval_formula_ref(f, penguins, w):
                 expected |= 1 << w
-        ws = formula_worlds(f)
+        ws = formula_set(penguins.atoms, "p, !f")
         assert ws == expected
         assert ws.bit_count() == 8
 
@@ -98,28 +100,26 @@ class TestFormulaWorlds:
         top = (1 << m) - 1
         worlds = range(1 << m) if m <= 10 else [0, top, *rng.sample(range(1, top), 200)]
         for text in texts:
-            f = parse_formula(text, kb.atoms)
-            ws = formula_worlds(f)
+            f = parse_conditional(f"({text} | top)", kb.atoms).consequent
+            ws = formula_set(kb.atoms, text)
             assert ws >> (1 << m) == 0, text
             for w in worlds:
                 assert (ws >> w) & 1 == eval_formula_ref(f, kb, w), (text, w)
 
     def test_matches_set_based_evaluation(self, penguins):
         for text in ["p", "!k", "b, w", "p ; k", "b, (w ; !k)", "bot", "top", "p, !p"]:
-            f = parse_formula(text, penguins.atoms)
+            f = parse_conditional(f"({text} | top)", penguins.atoms).consequent
             for w in range(32):
                 names = true_atoms(penguins, w)
                 by_sets = any(
                     all((penguins.atoms[i - 1].name in names) == positive for i, positive in t.literals())
                     for t in f.terms
                 )
-                assert bool(ws_member(formula_worlds(f), w)) == by_sets, (text, w)
+                assert bool(ws_member(formula_set(penguins.atoms, text), w)) == by_sets, (text, w)
 
     def test_disjunction_is_union(self, penguins):
-        f1 = parse_formula("b", penguins.atoms)
-        f2 = parse_formula("k", penguins.atoms)
-        both = parse_formula("b ; k", penguins.atoms)
-        assert formula_worlds(both) == formula_worlds(f1) | formula_worlds(f2)
+        both = formula_set(penguins.atoms, "b ; k")
+        assert both == formula_set(penguins.atoms, "b") | formula_set(penguins.atoms, "k")
 
 
 def ws_member(ws, w):
@@ -148,8 +148,8 @@ class TestBuildPartitions:
 
     def test_penguins_rule1_sets(self, penguins):
         verifying, falsifying = build_partitions(penguins)
-        b_and_f = formula_worlds(parse_formula("b, f", penguins.atoms))
-        b_not_f = formula_worlds(parse_formula("b, !f", penguins.atoms))
+        b_and_f = formula_set(penguins.atoms, "b, f")
+        b_not_f = formula_set(penguins.atoms, "b, !f")
         assert verifying[0] == b_and_f
         assert falsifying[0] == b_not_f
         assert verifying[0].bit_count() == 8
@@ -204,14 +204,22 @@ class TestRulePartitions:
 
     def test_sets_over_the_mentioned_atoms(self):
         # World w over all atoms is in a set exactly when its values on the
-        # mentioned atoms, read as a world over just those, are.
+        # mentioned atoms, read as a world over just those, are.  Every
+        # other KB also passes a query over any declared atom as ``extra``,
+        # whose sets come last and whose atoms count as mentioned.
         rng = random.Random(20261022)
         texts = ["vars: a, b\n", "vars: a, b\nrule: (top | top)\n", "vars: a, b\nrule: (bot | b)\n"]
         texts += [random_kb_text(rng, 4, 4) for _ in range(60)]
-        for text in texts:
+        for case, text in enumerate(texts):
             kb = parse_kb(with_unused_atoms(text, rng, rng.randint(0, 4)))
+            names = list(kb.atom_names())
+            extra = ()
+            if case % 2:
+                q = f"({random_formula_text(rng, names)} | {random_formula_text(rng, names)})"
+                extra = (parse_conditional(q, kb.atoms),)
+            m, verifying, falsifying = rule_partitions(kb, extra)
+            kb = KnowledgeBase(kb.atoms, kb.conditionals + extra)
             mentioned = mentioned_atoms(kb)
-            m, verifying, falsifying = rule_partitions(kb)
             assert m == len(mentioned)
             ref_v, ref_f = partitions_ref(kb)
             for w in range(2**kb.m):
@@ -252,4 +260,4 @@ class TestBitHelpers:
             for w in range(2**m):
                 if (w >> (m - a.index)) & 1:
                     expected |= 1 << w
-            assert formula_worlds(parse_formula(a.name, atoms)) == expected
+            assert formula_set(atoms, a.name) == expected
