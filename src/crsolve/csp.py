@@ -16,15 +16,14 @@ Search is confined to the box [0, bound]^n (default bound n, the number of
 rules): minimal solutions always fit inside it, so "infeasible" here means
 "no solution within the box", not a proven inconsistency of R.  A rule
 whose verifying set is empty can never be satisfied by any vector; such
-rules are reported as degenerate.
+rules are reported as degenerate.  A rule whose falsifying set is empty
+is satisfied by every vector.
 
 Compilation: every world's falsified-rule set is collapsed into a bitmask
 signature, and for each constraint side only the subset-minimal signatures
 are kept (sums are monotone in the nonnegative variables, so minima are
-attained there).  The distinct signatures are sorted once, numerically,
-which lists every signature after its proper subsets; each rule's
-candidates are filtered from that list in order, and the antichain is
-peeled off its front (``_minimal_signatures``).
+attained there); ``_minimal_signatures`` peels them off the distinct
+signatures, sorted once.
 
 Compilation runs over only the m' <= m atoms that R's rules mention
 (``worlds.rule_partitions``), so declared atoms that no rule uses do not
@@ -47,65 +46,10 @@ rules mention no atom, has m' = 0 and one world, the empty assignment,
 onto which r maps every world.  When the rules mention every atom, m' = m,
 r is the identity and compilation scans all 2**m worlds.
 
-One labelling engine serves every solver.  Every search node, the root
-included, runs bounds propagation on entry:
-
-    lo_i <- max(lo_i, 1 + min_sig(V_i, lo) - min_sig(F_i, hi))
-
-which is monotone and terminates.  The propagator is event-driven, as
-in AC-3 (Mackworth, AIJ 1977): a FIFO worklist of rules, driven by
-per-variable occurrence lists that each solve builds once.  A raised
-lo_j re-queues only the rules whose V-signatures mention j, and
-min_sig(F_i, hi) is computed at most once per call, since hi does not
-move within one.  The root starts with every rule queued.  A child
-starts with only the rules that mention the variable just labelled: the
-parent was at its fixpoint, labelling idx only raises lo_idx and lowers
-hi_idx, and rule idx's own floor does not depend on idx, so no other
-floor can have moved.  The least fixpoint of a monotone operator does
-not depend on the order of its updates, so the seeded start reaches the
-same bounds as a start with every rule queued.
-
-Each solve keeps one box: lo, hi, one sum of lo per distinct
-V-signature, and a trail of the bounds each change overwrote.  The
-stored sums equal the sums recomputed from lo: they start out equal, hi
-enters no V-sum, and a rise of lo_j by d adds d to exactly the sums of
-the signatures that mention j, the only ones whose fresh value moves.
-So min_sig(V_i, lo) is the least stored sum of rule i, and a popped
-rule reads its floor without re-summing.  Undo pops the trail down to a
-mark, latest entry first, so when an entry for j is popped every later
-change is already undone and lo_j is back to its value right after that
-entry's change: restoring j's old bounds and subtracting the same rise
-from the same sums puts the box back exactly as it was before the
-change.  Each open node takes its mark as soon as its propagation
-succeeds, and nothing below the mark is popped while it is open, so
-undoing to the mark gives back that node's fixpoint exactly before each
-of its children.  The search is one loop over a stack of open nodes;
-no bounds are copied per child.
-
-Values are labelled in rule order, ascending, so solutions stream in
-lexicographic order.  The assigned prefix plus the lower bounds of the
-remaining variables bound every completion of a node from below.  After
-propagation the node asks a cut on those bounds; each solver differs
-only in that cut, which sees the solutions yielded so far: none for all
-solutions; sum(lo) >= best sum for one sum-minimal solution; sum(lo) >
-best sum for all of them, in one pass that keeps ties and restarts on a
-smaller sum; a frontier vector <= lo for the Pareto-minimal ones.
-
-Minimal solutions without enumerating the box.  If v <= u componentwise
-and v != u, then v precedes u lexicographically, so the search meets every
-dominator of a solution before the solution itself: a solution is
-Pareto-minimal exactly when no frontier vector found before it is <= it,
-and a node whose bounds are >= some frontier vector is cut with its whole
-subtree.
-
-The induced-ranking order follows from the frontier.  If v <= u then
-kappa_v <= kappa_u pointwise, with equality only when v and u differ just
-on rules that no world falsifies: such a rule occurs in no signature, so
-its component is free in the box and changes no rank.  Every solution lies
-above some frontier vector, hence the non-dominated rankings over all
-solutions are exactly the non-dominated rankings over the frontier, and
-the vectors inducing them are the surviving frontier vectors with their
-free components ranging over the box.
+One labelling engine, ``_search``, serves every solver.  It keeps one
+``_Box`` of bounds per solve and propagates it at every node
+(``_propagate_box``); the solvers differ only in the cut that it asks at
+each node.  ``check_solution`` propagates a box of one point.
 
 A CRProblem is immutable after build; each solve call builds its own box
 and trail, so concurrent solves on one problem are safe.
@@ -191,8 +135,8 @@ class CRProblem:
 
     ``world_sigs`` holds the distinct falsification signatures, ascending:
     each is the bitmask of the rules (bit i for rule i+1) that some world
-    falsifies together.  It is the same set over all 2**m worlds and over
-    the worlds of the mentioned atoms, so it indexes no world."""
+    falsifies together.  It is compiled over the worlds of the mentioned
+    atoms, so it indexes no world."""
 
     bound: int
     world_sigs: tuple[int, ...]
@@ -272,50 +216,48 @@ def check_solution(p: CRProblem, v: KappaVector) -> bool:
         raise ValueError(f"vector has length {len(v)}, expected {p.n}")
     if any(x < 0 for x in v):
         return False
-    # On a point any raise empties a domain, so no rule is ever re-queued.
     return _propagate_box(_Box(p, v, v), range(p.n))
 
 
 class _Box:
-    """The bounds of one solve or check: ``lo`` and ``hi``, the sum of
-    ``lo`` over each distinct V-signature, and a trail of the bounds that
-    each change overwrote.
+    """The bounds of one solve or check, with the sums and occurrence lists
+    that propagation reads and the trail that undoes its changes.
 
-    The distinct V-signatures are numbered in order of first occurrence:
-    ``vsigs[s]`` is signature s, ``vsig_ids[i]`` lists the numbers of rule
-    i's, and ``sums[s]`` is the sum of ``lo`` over signature s.  A trail
-    entry ``(j, lo_j, hi_j)`` holds the bounds of j before one change.
+    ``lo`` and ``hi`` are the bounds.  The distinct V-signatures are
+    numbered in order of first occurrence: ``vsig_ids[i]`` lists the
+    numbers of rule i's, and ``sums[s]`` is the sum of ``lo`` over
+    signature s.  ``containing[j]`` holds the signatures that mention j,
+    ``raised_by[j]`` the rules whose V-signatures mention j (their floors
+    rise with lo[j]) and ``touched_by[j]`` the rules whose V- or
+    F-signatures mention j (their floors may move when lo[j] rises or
+    hi[j] falls).  A trail entry ``(j, lo_j, hi_j)`` holds the bounds of j
+    before one change.
+
+    The stored sums equal the sums recomputed from lo: they start out
+    equal, hi enters no V-sum, and each change pushes a trail entry and
+    adds the rise of lo_j to exactly the sums of ``containing[j]``, the
+    only ones whose fresh value moves.  Undo pops the trail down to a
+    mark, latest entry first, so when an entry for j is popped every later
+    change is already undone and lo_j is back to its value right after
+    that entry's change: restoring j's old bounds and subtracting the same
+    rise from the same sums puts the box back exactly as it was at the
+    mark.
     """
 
     def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
+        n = p.n
         self.lo = lo = list(lo)
         self.hi = list(hi)
         self.trail: list[tuple[int, int, int]] = []
         self.fsigs = p.falsifying_sigs
         ids: dict[tuple[int, ...], int] = {}
         self.vsig_ids = [[ids.setdefault(sig, len(ids)) for sig in vs] for vs in p.verifying_sigs]
-        self.vsigs = vsigs = list(ids)
+        vsigs = list(ids)
         self.sums = [sum(map(lo.__getitem__, sig)) for sig in vsigs]
-
-
-class _SearchBox(_Box):
-    """A ``_Box`` plus the occurrence lists that drive a search.
-
-    ``containing[j]`` holds the signatures that mention j, ``raised_by[j]``
-    the rules whose V-signatures mention j (their floors rise with lo[j])
-    and ``touched_by[j]`` the rules whose V- or F-signatures mention j
-    (their floors may move when lo[j] rises or hi[j] falls).  A check has
-    no use for them: at a point lo = hi every raise empties a domain before
-    ``_propagate_box`` reads them.
-    """
-
-    def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
-        super().__init__(p, lo, hi)
-        n = p.n
         self.containing = containing = [[] for _ in range(n)]
         self.raised_by = raised_by = [[] for _ in range(n)]
         self.touched_by = touched_by = [[] for _ in range(n)]
-        for s, sig in enumerate(self.vsigs):
+        for s, sig in enumerate(vsigs):
             for j in sig:
                 containing[j].append(s)
         for i, (vs, fs) in enumerate(zip(p.verifying_sigs, p.falsifying_sigs)):
@@ -328,30 +270,32 @@ class _SearchBox(_Box):
 
 def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
     """Tighten ``box.lo`` to its least fixpoint in place, keeping the
-    signature sums; False if some domain empties.  A raise that succeeds
-    reads the occurrence lists of a ``_SearchBox``; on a point box, as in
-    ``check_solution``, no raise succeeds.
+    signature sums; False if some domain empties.
 
-    A FIFO worklist of rules, seeded with ``queue``.  Popping rule i
-    raises lo[i] to its floor 1 + min_sig(V_i, lo) - min_sig(F_i, hi), and
-    a raised lo[i] queues the rules of ``raised_by[i]``, whose V-signatures
-    mention i.  min_sig(V_i, lo) is the least of rule i's stored
-    V-signature sums, which equal fresh ones: a raise pushes the old
-    bounds onto the trail and adds its rise to each sum that mentions i,
-    the only sums it moves, so the search's undo can give the box back
-    exactly.  Only lower bounds move within a call, so min_sig(F_i, hi)
-    is computed once, when rule i is first popped.  The worklist empties
-    with every rule satisfied, so the result is the least fixpoint above
-    the given lo, whatever the order of the updates.
+    A FIFO worklist of rules, seeded with ``queue`` and driven by the
+    occurrence lists, as in AC-3 (Mackworth, AIJ 1977).  Popping rule i
+    applies
+
+        lo_i <- max(lo_i, 1 + min_sig(V_i, lo) - min_sig(F_i, hi))
+
+    and a raised lo_i queues the rules of ``raised_by[i]``, whose floors
+    rise with it.  min_sig(V_i, lo) is the least of rule i's stored sums.
+    Only lower bounds move within a call, so min_sig(F_i, hi) is computed
+    once, when rule i is first popped.  The update is monotone in the
+    bounds and only raises lo, never past hi, so the worklist runs out,
+    and it does so with every rule satisfied: the result is the least
+    fixpoint above the given lo, whatever the order of the updates.
 
     The caller may seed only the rules whose floors can have moved since
     lo and hi were last at a fixpoint: every other rule is still
     satisfied, and its floor can change only through a raise that queues
-    it.  A start with no fixpoint behind it queues every rule.  On failure
-    the box is left as it was at the failing rule; the search undoes it.
-
-    Empty-min cases: no verifying world makes rule i unsatisfiable for any
-    finite value; no falsifying world satisfies its constraint vacuously.
+    it.  A start with no fixpoint behind it queues every rule.  A search
+    child labels one variable j at its parent's fixpoint, which raises
+    lo_j and lowers hi_j and moves nothing else; that moves only the
+    floors of ``touched_by[j]``, and rule j's own floor does not depend on
+    j, so the child queues ``touched_by[j]`` and reaches the same least
+    fixpoint as a start with every rule queued.  On failure the box is
+    left as it was at the failing rule; the search undoes it.
     """
     lo, hi, sums = box.lo, box.hi, box.sums
     vsig_ids, fsigs, trail = box.vsig_ids, box.fsigs, box.trail
@@ -377,7 +321,6 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
             trail.append((i, lo[i], hi[i]))
             d = floor - lo[i]
             lo[i] = floor
-            # Only a search box gets here: at a point, floor > lo = hi.
             for s in box.containing[i]:
                 sums[s] += d
             for k in box.raised_by[i]:
@@ -400,15 +343,22 @@ def _search(
     """Depth-first labelling in rule order, values ascending; yields the
     box solutions in lexicographic order.  Every node, the root included,
     is propagated on entry and skipped with its subtree when propagation
-    fails or ``cut`` rejects its lower bounds.  The cut is asked again at
+    fails or ``cut`` rejects its lower bounds.
+
+    After propagation, lo (the assigned prefix plus the lower bounds of
+    the other variables) is below every solution under the node.  Each
+    solver's cut holds on lo only when it holds on every vector >= lo, so
+    it drops no solution the solver wants.  The cut is asked again at
     each node, so it may tighten as the caller consumes solutions.
 
     One box serves the whole search.  The open nodes form a stack: the
     node at depth idx labels variable idx, and keeps the next value to try
-    and the trail length at its own fixpoint.  Before each of its children
-    the box is undone to that length, which gives the fixpoint back."""
+    and its mark, the trail length taken as soon as its propagation
+    succeeds.  Nothing below a mark is popped while its node is open, so
+    undoing to the mark gives back that node's fixpoint before each of its
+    children; no bounds are copied per child."""
     n = p.n
-    box = _SearchBox(p, [0] * n, [p.bound] * n)
+    box = _Box(p, [0] * n, [p.bound] * n)
     lo, hi, sums, trail = box.lo, box.hi, box.sums, box.trail
     containing, touched_by = box.containing, box.touched_by
     values: list[int] = []
@@ -451,8 +401,7 @@ def _search(
                 values.pop()
                 marks.pop()
                 continue
-            # The parent is at its fixpoint and labelling moved only the
-            # bounds of idx, so only the rules that mention idx can move.
+            # Seed the child with the rules its label can move.
             queue = touched_by[idx]
             break
         else:
@@ -516,10 +465,14 @@ def pareto_min(
     ``limit`` truncates and must be nonnegative.  Raises InfeasibleError
     when the box holds no solution, whatever the limit."""
     _check_limit(limit)
-    # Lexicographic order puts every dominator first, so the solutions
-    # yielded so far are the frontier found so far, and each is final:
-    # the search can stop at the limit.  It runs to one solution at
-    # least, which tells a feasible box from an infeasible one.
+    # If v <= u componentwise and v != u, then v precedes u
+    # lexicographically, so the search meets every dominator of u before
+    # u: each dominator was yielded into the frontier or cut for lying
+    # above a frontier vector, which then lies below u too.  So u is
+    # Pareto-minimal exactly when the cut lets it through, the solutions
+    # yielded are the frontier, and each is final: the search can stop at
+    # the limit.  It runs to one solution at least, which tells a feasible
+    # box from an infeasible one.
     frontier: list[KappaVector] = []
     search = _search(p, lambda lo: _dominated(frontier, lo), deadline)
     for v in islice(search, None if limit is None else max(limit, 1)):
@@ -535,7 +488,16 @@ def ocf_min(
     """Solutions whose induced ranking function is not pointwise-dominated
     by another solution's (dominance requires the two rankings to differ
     somewhere; vectors inducing identical rankings are all retained), in
-    lexicographic order; ``limit`` truncates and must be nonnegative."""
+    lexicographic order; ``limit`` truncates and must be nonnegative.
+
+    The rankings follow from the Pareto frontier.  If v <= u then kappa_v
+    <= kappa_u pointwise, with equality only when v and u differ just on
+    rules that no world falsifies: such a rule occurs in no signature, so
+    its component is free in the box and changes no rank.  Every solution
+    lies above some frontier vector, hence the non-dominated rankings over
+    all solutions are exactly the non-dominated rankings over the
+    frontier, and the vectors inducing them are the surviving frontier
+    vectors with their free components ranging over the box."""
     _check_limit(limit)
     frontier = pareto_min(p, deadline=deadline).vectors
     sig_indices = [tuple(iter_bits(sig)) for sig in p.world_sigs]
@@ -548,8 +510,6 @@ def ocf_min(
     for ranking in sorted(by_ranking, key=sum):
         if not _dominated(surviving, ranking):
             surviving.append(ranking)
-    # A rule that no world falsifies has no falsifying signature; its
-    # component takes every value of its box range without changing a rank.
     # Each vector's expansion is a product of ascending ranges, so it runs
     # in lexicographic order.  Every frontier vector is 0 on the free
     # components, so two of them differ elsewhere and their expansions

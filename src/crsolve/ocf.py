@@ -88,8 +88,12 @@ def accepts(r: RankingFunction, c: Conditional) -> bool:
 def render_table(r: RankingFunction) -> str:
     """Two-column text table, one world per line in truth-table order
     (all-true world first)."""
-    names = world_names(r.kb.atoms, " ")
-    row = f"{{:<{max(map(len, names))}}}  {{}}\n".format
+    atoms = r.kb.atoms
+    # Every literal is its atom's name or "-" and the name, so the
+    # all-negated label is the longest.
+    width = len(" ".join("-" + a.name for a in atoms))
+    row = f"{{:<{width}}}  {{}}\n".format
+    names = world_names(atoms, " ")
     return "".join(map(row, reversed(names), reversed(r.ranks)))
 
 

@@ -20,7 +20,7 @@ from crsolve import (
     solve_min_sum,
 )
 from crsolve import csp
-from crsolve.csp import _propagate_box, _SearchBox
+from crsolve.csp import _Box, _propagate_box
 
 from tests.helpers import (
     BIRDS_TEXT,
@@ -167,7 +167,7 @@ class TestCheckSolution:
 def propagate_box(p, lo=None, hi=None, queue=None):
     """(feasible, lo, hi) after propagating the box, or the given bounds,
     from every rule queued or only from ``queue``."""
-    box = _SearchBox(p, [0] * p.n if lo is None else lo, [p.bound] * p.n if hi is None else hi)
+    box = _Box(p, [0] * p.n if lo is None else lo, [p.bound] * p.n if hi is None else hi)
     queue = range(p.n) if queue is None else queue
     return _propagate_box(box, queue), box.lo, box.hi
 
@@ -261,7 +261,7 @@ class TestPropagate:
         for kb in kbs:
             p = build_problem(kb)
             compiled = compile_ref(kb)
-            touched_by = _SearchBox(p, [0] * p.n, [p.bound] * p.n).touched_by
+            touched_by = _Box(p, [0] * p.n, [p.bound] * p.n).touched_by
             # Carried state: labelling paths with backtracks through one box.
             depths = search_checking_nodes(kb, p, compiled, walks, monkeypatch)
             deep_nodes += sum(d >= 3 for d in depths)

@@ -6,6 +6,7 @@ solver finishes.  Every generator is seeded.
 """
 
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,8 @@ from crsolve import (
     parse_conditional,
     parse_kb,
     pareto_min,
+    render_kb,
+    render_table,
     solve_min_sum,
 )
 from crsolve.cli import main
@@ -28,23 +31,53 @@ from tests.helpers import BIRDS_TEXT, random_formula_text, random_kb_text, with_
 
 SOLVERS = {"all": enumerate_solutions, "min-all": all_min_sum, "pareto": pareto_min, "ocf-min": ocf_min}
 
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-def outcome(solve, kb):
-    """solve(build_problem(kb)), or None where it finds no solution."""
+
+def outcome(solve, kb, bound=None):
+    """solve(build_problem(kb, bound)), or None where it finds no solution."""
     try:
-        return solve(build_problem(kb))
+        return solve(build_problem(kb, bound))
     except InfeasibleError:
         return None
 
 
-def answers(kb):
+def answers(kb, bound=None):
     """Each set-valued solver's vectors on kb, None where it finds no
     solution."""
     out = {}
     for name, solve in SOLVERS.items():
-        result = outcome(solve, kb)
+        result = outcome(solve, kb, bound)
         out[name] = None if result is None else list(result.vectors)
     return out
+
+
+def renamed(text, mapping):
+    """Text with every identifier that ``mapping`` holds replaced."""
+    return IDENTIFIER.sub(lambda m: mapping.get(m[0], m[0]), text)
+
+
+def disjoint_union(left, right):
+    """KB text of two KBs with their atoms renamed apart (suffixes _l and
+    _r): the vars of both, then the left rules and the right rules."""
+    heads, bodies = [], []
+    for text, suffix in ((left, "_l"), (right, "_r")):
+        kb = parse_kb(text)
+        head, body = renamed(render_kb(kb), {a: a + suffix for a in kb.atom_names()}).split("\n", 1)
+        heads.append(head[len("vars: ") :])
+        bodies.append(body)
+    return "vars: " + ", ".join(heads) + "\n" + "".join(bodies)
+
+
+def table_ranks(kb, v, back):
+    """The rows of ``render_table`` as a map from each world's set of true
+    atoms, named back through ``back``, to its rank."""
+    ranks = {}
+    for row in render_table(induced_ocf(kb, v)).splitlines():
+        *literals, rank = row.split()
+        ranks[frozenset(back[x] for x in literals if not x.startswith("-"))] = int(rank)
+    assert len(ranks) == 2**kb.m
+    return ranks
 
 
 def permuted(text, order):
@@ -131,3 +164,61 @@ class TestUnusedAtoms:
                 q = f"({random_formula_text(rng, names)} | {random_formula_text(rng, names)})"
                 got = acceptance_ranks(induced_ocf(wide, v), parse_conditional(q, wide.atoms))
                 assert got == acceptance_ranks(induced_ocf(kb, v), parse_conditional(q, kb.atoms)), (text, q)
+
+
+class TestAtomRenaming:
+    NAMES = ["p", "qq", "rrr", "ssss", "t_5", "Uvwxy"]
+
+    def test_answers_and_tables_unchanged(self):
+        # Renaming the atoms to names of unequal length and permuting
+        # vars: changes no solve answer, since vectors are indexed by rule,
+        # no acceptance rank, and no world's rank in the show-ocf table.
+        rng = random.Random(20261104)
+        for _ in range(200):
+            text = random_kb_text(rng, 4, 5)
+            kb = parse_kb(text)
+            names = list(kb.atom_names())
+            mapping = dict(zip(names, rng.sample(self.NAMES, len(names))))
+            vars_line = "vars: " + ", ".join(mapping[names[i]] for i in random_order(rng, len(names)))
+            new = parse_kb(vars_line + "\n" + renamed(text.split("\n", 1)[1], mapping))
+            assert answers(new) == answers(kb), (text, mapping)
+            assert outcome(solve_min_sum, new) == outcome(solve_min_sum, kb), (text, mapping)
+            v = tuple(rng.randint(0, 6) for _ in range(kb.n))
+            for _ in range(3):
+                q = f"({random_formula_text(rng, names)} | {random_formula_text(rng, names)})"
+                got = acceptance_ranks(induced_ocf(new, v), parse_conditional(renamed(q, mapping), new.atoms))
+                assert got == acceptance_ranks(induced_ocf(kb, v), parse_conditional(q, kb.atoms)), (text, q)
+            back = {b: a for a, b in mapping.items()}
+            assert table_ranks(new, v, back) == table_ranks(kb, v, dict(zip(names, names))), (text, mapping)
+
+
+class TestDisjointUnion:
+    # One explicit bound for the parts and the union: the default bound n
+    # differs between them, so mode all would compare different boxes.
+    BOUND = 3
+
+    def test_answer_sets_are_products(self):
+        # CR(R1 + R2) is the product of CR(R1) and CR(R2).  The minimal
+        # sets are products too, ocf-min's as well: solution rankings reach
+        # 0, so a union ranking dominates another exactly when each part's
+        # ranking does.
+        rng = random.Random(20261105)
+        compared = 0
+        for _ in range(300):
+            left, right = random_kb_text(rng, 3, 4), random_kb_text(rng, 3, 4)
+            union = parse_kb(disjoint_union(left, right))
+            parts = [parse_kb(left), parse_kb(right)]
+            got = answers(union, self.BOUND)
+            for mode, (a, b) in zip(got, zip(*(answers(kb, self.BOUND).values() for kb in parts))):
+                want = None if a is None or b is None else sorted(u + w for u in a for w in b)
+                assert got[mode] == want, (left, right, mode)
+                compared += bool(want)
+            sums = [outcome(solve_min_sum, kb, self.BOUND) for kb in parts]
+            want = None if None in sums else (sums[0][0] + sums[1][0], sums[0][1] + sums[1][1])
+            assert outcome(solve_min_sum, union, self.BOUND) == want, (left, right)
+        assert compared >= 250
+
+    def test_birds_with_birds(self):
+        result = all_min_sum(build_problem(parse_kb(disjoint_union(BIRDS_TEXT, BIRDS_TEXT))))
+        assert result.minimal_sum == 4
+        assert result.vectors == ((1, 0, 1, 1, 0, 1), (1, 0, 1, 1, 1, 0), (1, 1, 0, 1, 0, 1), (1, 1, 0, 1, 1, 0))

@@ -21,7 +21,7 @@ from crsolve import (
     render_kb,
     render_table,
 )
-from crsolve.csp import _propagate_box, _SearchBox
+from crsolve.csp import _Box, _propagate_box
 from crsolve.worlds import iter_bits, selector, world_signatures, world_sums
 
 from tests.helpers import (
@@ -38,6 +38,7 @@ from tests.helpers import (
 )
 
 NAMES = ["a", "b", "c", "d"]
+UNEQUAL_NAMES = ["a", "bb", "ccc", "dddd"]
 
 
 @st.composite
@@ -58,8 +59,8 @@ def formula_texts(draw, names):
 
 
 @st.composite
-def kb_texts(draw, max_rules=3):
-    names = NAMES[: draw(st.integers(1, 4))]
+def kb_texts(draw, max_rules=3, pool=NAMES):
+    names = pool[: draw(st.integers(1, 4))]
     lines = ["vars: " + ", ".join(names)]
     for _ in range(draw(st.integers(0, max_rules))):
         cons = draw(formula_texts(names))
@@ -108,13 +109,13 @@ def test_conjunction_is_intersection_of_world_sets(args):
 @given(kb_texts())
 def test_propagate_shrinks_and_is_idempotent(text):
     problem = build_problem(parse_kb(text))
-    box = _SearchBox(problem, [0] * problem.n, [problem.bound] * problem.n)
+    box = _Box(problem, [0] * problem.n, [problem.bound] * problem.n)
     lo, hi = box.lo, box.hi
     feasible = _propagate_box(box, range(problem.n))
     assert all(x >= 0 for x in lo)
     assert all(x <= problem.bound for x in hi)
     if feasible:
-        box2 = _SearchBox(problem, lo, hi)
+        box2 = _Box(problem, lo, hi)
         lo2, hi2 = box2.lo, box2.hi
         assert _propagate_box(box2, range(problem.n))
         assert (lo2, hi2) == (lo, hi)
@@ -248,7 +249,12 @@ def test_world_sums_match_per_bit_sum(args):
     assert sums == tuple(expected)
 
 
-@given(kb_texts(), st.lists(st.integers(0, 12), min_size=3, max_size=3))
+@given(
+    st.one_of(kb_texts(), kb_texts(pool=UNEQUAL_NAMES)),
+    st.lists(st.integers(0, 12), min_size=3, max_size=3),
+)
+@example("vars: a, bb, ccc, dddd\nrule: (a | bb)\nrule: (!dddd | ccc)\n", [1, 12, 0])
+@example("vars: dddd, a\nrule: (a | dddd)\n", [3, 0, 0])
 def test_tables_match_per_world_rendering(text, values):
     kb = parse_kb(text)
     ranking = induced_ocf(kb, tuple(values[: kb.n]))

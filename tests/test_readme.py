@@ -10,6 +10,13 @@ from crsolve import parse_kb
 from crsolve.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_stdout(case: str) -> str:
+    """The stdout section of a golden transcript."""
+    text = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    return text.split("--- stdout\n", 1)[1].rsplit("--- stderr\n", 1)[0]
 
 
 def test_quick_start_accepts():
@@ -38,8 +45,9 @@ def test_format_example_parses():
             'crsolve query --min "(w | k)" kbs/penguins.kb',
             "ACCEPTED\nverifying rank: 0\nfalsifying rank: 1\n",
         ),
+        ("crsolve show-ocf --vector 1,2,2,1,1 kbs/penguins.kb", golden_stdout("show-ocf-penguins")),
     ],
-    ids=["solve", "query"],
+    ids=["solve", "query", "show-ocf"],
 )
 def test_cli_example(command, expected, monkeypatch, capsys):
     text = README.read_text(encoding="utf-8")
