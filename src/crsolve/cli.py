@@ -30,7 +30,7 @@ from .csp import (
     solve_min_sum,
 )
 from .kb import KnowledgeBase, parse_conditional, parse_kb
-from .ocf import acceptance_ranks, induced_ocf, ocf_records, render_table
+from .ocf import acceptance_ranks, induced_ocf, json_chunks, table_chunks
 
 
 def _load_kb(path: str) -> KnowledgeBase:
@@ -112,10 +112,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_show_ocf(args: argparse.Namespace) -> int:
     kb = _load_kb(args.file)
     ranking = induced_ocf(kb, _parse_vector(args.vector))
-    if args.json:
-        print(json.dumps(ocf_records(ranking)))
-    else:
-        sys.stdout.write(render_table(ranking))
+    # Written one chunk at a time, so the whole table is never held.
+    sys.stdout.writelines(json_chunks(ranking) if args.json else table_chunks(ranking))
     return 0
 
 

@@ -216,7 +216,7 @@ def check_solution(p: CRProblem, v: KappaVector) -> bool:
         raise ValueError(f"vector has length {len(v)}, expected {p.n}")
     if any(x < 0 for x in v):
         return False
-    return _propagate_box(_Box(p, v, v), range(p.n))
+    return _propagate_box(_Box(p, v, v, occurrences=False), range(p.n))
 
 
 class _Box:
@@ -230,8 +230,10 @@ class _Box:
     ``raised_by[j]`` the rules whose V-signatures mention j (their floors
     rise with lo[j]) and ``touched_by[j]`` the rules whose V- or
     F-signatures mention j (their floors may move when lo[j] rises or
-    hi[j] falls).  A trail entry ``(j, lo_j, hi_j)`` holds the bounds of j
-    before one change.
+    hi[j] falls).  ``occurrences=False`` leaves the three lists out, for a
+    point box (lo = hi), where propagation never reads them: any raise of
+    lo_i passes hi_i and fails first.  A trail entry ``(j, lo_j, hi_j)``
+    holds the bounds of j before one change.
 
     The stored sums equal the sums recomputed from lo: they start out
     equal, hi enters no V-sum, and each change pushes a trail entry and
@@ -244,7 +246,9 @@ class _Box:
     mark.
     """
 
-    def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
+    def __init__(
+        self, p: CRProblem, lo: Sequence[int], hi: Sequence[int], occurrences: bool = True
+    ):
         n = p.n
         self.lo = lo = list(lo)
         self.hi = list(hi)
@@ -254,6 +258,8 @@ class _Box:
         self.vsig_ids = [[ids.setdefault(sig, len(ids)) for sig in vs] for vs in p.verifying_sigs]
         vsigs = list(ids)
         self.sums = [sum(map(lo.__getitem__, sig)) for sig in vsigs]
+        if not occurrences:
+            return
         self.containing = containing = [[] for _ in range(n)]
         self.raised_by = raised_by = [[] for _ in range(n)]
         self.touched_by = touched_by = [[] for _ in range(n)]

@@ -20,9 +20,18 @@ onto the 2**|U| worlds over U (the argument of the ``csp`` docstring, with
 U widened by the query's atoms), so both minima are the same in either
 space.
 
-World sets, per-world sums and world labels all come from ``worlds``.
-RankingFunction is immutable and all queries are pure; its dense table
-``ranks`` is built on first read, for the table outputs.
+The table outputs (``render_table``, ``ocf_records`` and the chunks
+that ``show-ocf`` writes) rank over the atoms U that the rules mention in
+the same way: one table of 2**|U| ranks, from one ``world_sums``, and each
+of the 2**m worlds reads its rank there through its restriction r(w) to U.
+They list the worlds in table order, one chunk per world of the high half
+of the atoms (the first m // 2), so a chunk holds 2**(m - m // 2) rows and
+no output is ever built whole unless the caller joins it.
+
+World sets, per-world sums, world labels and table order all come from
+``worlds``.  RankingFunction is immutable and all queries are pure; its
+dense table ``ranks`` over all 2**m worlds is built on first read, and no
+output reads it.
 """
 
 from __future__ import annotations
@@ -30,11 +39,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
+from operator import add
+from typing import Iterator
 
 from .csp import KappaVector
 from .kb import Conditional, KnowledgeBase
-from .worlds import build_partitions, rule_partitions, selector, world_names, world_sums
+from .worlds import (
+    build_partitions,
+    rule_partitions,
+    selector,
+    table_labels,
+    table_partitions,
+    world_sums,
+)
 
 
 INFINITY = math.inf
@@ -85,21 +103,68 @@ def accepts(r: RankingFunction, c: Conditional) -> bool:
     return verified < falsified
 
 
+def _chunk_ranks(r: RankingFunction, text: bool) -> Iterator[Iterator]:
+    # Per world h of the high half in table order, the ranks of the worlds
+    # that extend h, in table order, as strings if text: one table over the
+    # mentioned atoms, read through each world's restriction to them
+    # (``worlds.table_partitions``).
+    m, falsifying, s, high, low = table_partitions(r.kb)
+    table = world_sums(falsifying, r.vector, m)
+    if text:
+        # One formatting call and one split: faster than str() per entry.
+        table = ("%d " * len(table) % table).split()
+    for h in high:
+        part = table[h << s : (h + 1) << s]
+        yield map(part.__getitem__, low)
+
+
+def table_chunks(r: RankingFunction) -> Iterator[str]:
+    """The lines of ``render_table``, one string per world of the high
+    half of the atoms.  Every row is the world's label, padded by its
+    count of true atoms to the width of the all-false label, two spaces
+    and the rank.  A chunk's rows share their high label and its space as
+    a prefix, and each low label with its padding and the two spaces is
+    one cell, built once per count of true atoms in the high half."""
+    atoms = r.kb.atoms
+    high, low = table_labels([a.name for a in atoms], " ")
+    space = " " if len(atoms) > 1 else ""
+    # The all-false labels come last and are the longest; a label falls
+    # short of them by its count of true atoms.
+    top, width = len(high[-1]), len(low[-1]) + 2
+    cells = [list(map(str.ljust, low, repeat(width + k))) for k in range(len(atoms) // 2 + 1)]
+    for label, ranks in zip(high, _chunk_ranks(r, True)):
+        prefix = label + space
+        yield prefix + ("\n" + prefix).join(map(add, cells[top - len(label)], ranks)) + "\n"
+
+
 def render_table(r: RankingFunction) -> str:
     """Two-column text table, one world per line in truth-table order
     (all-true world first)."""
-    atoms = r.kb.atoms
-    # Every literal is its atom's name or "-" and the name, so the
-    # all-negated label is the longest.
-    width = len(" ".join("-" + a.name for a in atoms))
-    row = f"{{:<{width}}}  {{}}\n".format
-    names = world_names(atoms, " ")
-    return "".join(map(row, reversed(names), reversed(r.ranks)))
+    return "".join(table_chunks(r))
+
+
+def json_chunks(r: RankingFunction) -> Iterator[str]:
+    """``json.dumps(ocf_records(r)) + "\\n"``, one string per world of the
+    high half of the atoms, with the same separators and escapes."""
+    # Imported here, not with the module: json adds about a millisecond
+    # to every import of the package, and only this writer needs it.
+    import json
+
+    high, low = table_labels([json.dumps(a.name)[1:-1] for a in r.kb.atoms], "")
+    cells = [label + '", "rank": ' for label in low]
+    lead = "["
+    for label, ranks in zip(high, _chunk_ranks(r, True)):
+        prefix = '{"world": "' + label
+        yield lead + prefix + ("}, " + prefix).join(map(add, cells, ranks))
+        lead = "}, "
+    yield "}]\n"
 
 
 def ocf_records(r: RankingFunction) -> list[dict]:
     """JSON-ready records ``{"world": ..., "rank": ...}`` in table order."""
-    names = world_names(r.kb.atoms, "")
+    high, low = table_labels([a.name for a in r.kb.atoms], "")
     return [
-        {"world": s, "rank": rank} for s, rank in zip(reversed(names), reversed(r.ranks))
+        {"world": h + lo, "rank": rank}
+        for h, ranks in zip(high, _chunk_ranks(r, False))
+        for lo, rank in zip(low, ranks)
     ]

@@ -30,12 +30,20 @@ while it needs to be) and the two tables are joined per world.
 Every world set is built by one term loop (``_models``).  A DNF term's
 models are the world of its positive literals completed by every
 assignment to the atoms the term leaves free: starting from the set {0},
-each free bit doubles the set by a shift and an OR, and the result is
-shifted onto the positive literals.  To number worlds over fewer atoms,
-the loop first squeezes the dropped atoms' bits out of the positive and
-free masks, one bit at a time, highest first, which leaves every lower
-position where it was; dropping none gives the worlds over all atoms.
+each free bit doubles the set by a shift and an OR (the run of free
+bits from bit 0 up all at once), and the result is shifted onto the
+positive literals.  To number worlds over fewer atoms, the loop first
+squeezes the dropped atoms' bits out of the positive and free masks, one
+bit at a time, highest first, which leaves every lower position where it
+was; dropping none gives the worlds over all atoms.
 Nothing is cached between calls; every function here is pure.
+
+Tables of all 2**m worlds are written in table order, the all-true world
+first, as one run of worlds of the low half of the atoms per world of the
+high half (the first m // 2 atoms).  ``table_partitions`` gives each
+half's worlds in that order together with their restrictions to the atoms
+that the rules mention, so a table over those atoms is read per run
+without ever listing the 2**m worlds; ``table_labels`` gives their labels.
 """
 
 from __future__ import annotations
@@ -166,8 +174,12 @@ def _models(f: Formula, drop: Sequence[int]) -> WorldSet:
             below = (1 << b) - 1
             pos = pos >> 1 & ~below | pos & below
             free = free >> 1 & ~below | free & below
-        # The subset sums of the free bits, one doubling per free bit.
-        sums = 1
+        # The subset sums of the free bits: the run of free bits from bit 0
+        # up gives every sum below 2**k at once, k its length, and each
+        # other free bit doubles the set.
+        run = (free + 1) & ~free
+        sums = (1 << run) - 1
+        free ^= run - 1
         while free:
             low = free & -free
             sums |= sums << low
@@ -195,6 +207,16 @@ def build_partitions(kb: KnowledgeBase) -> tuple[tuple[WorldSet, ...], tuple[Wor
     return _partitions(kb.conditionals, ())
 
 
+def _dropped(conditionals: Sequence[Conditional], m: int) -> tuple[int, list[int]]:
+    # The bits of the atoms that some term of some conditional has in its
+    # masks, and the other bits of [0, m), highest first.
+    used = 0
+    for c in conditionals:
+        for t in c.antecedent.terms + c.consequent.terms:
+            used |= t.pos | t.neg
+    return used, [b for b in range(m - 1, -1, -1) if not used >> b & 1]
+
+
 def rule_partitions(
     kb: KnowledgeBase, extra: Sequence[Conditional] = ()
 ) -> tuple[int, tuple[WorldSet, ...], tuple[WorldSet, ...]]:
@@ -212,27 +234,69 @@ def rule_partitions(
     unmentioned atoms' bits; when every atom is mentioned it squeezes out
     nothing, so m' = m and the sets are those of ``build_partitions``."""
     conditionals = kb.conditionals + tuple(extra)
-    used = 0
-    for c in conditionals:
-        for t in c.antecedent.terms + c.consequent.terms:
-            used |= t.pos | t.neg
-    drop = [b for b in range(kb.m - 1, -1, -1) if not used >> b & 1]
+    _, drop = _dropped(conditionals, kb.m)
     return kb.m - len(drop), *_partitions(conditionals, drop)
 
 
-def _literal_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
-    # Indexed by the worlds over just these atoms, first atom most significant.
-    return [sep.join(t) for t in product(*(("-" + a.name, a.name) for a in atoms))]
+def _restrictions(used: int, n: int) -> Sequence[int]:
+    # Per world over n bits in table order, its bits at the set bits of
+    # used, squeezed together: each used bit doubles the list into its
+    # 1 and its 0 branch, each other bit repeats every entry.  With every
+    # bit used that is the worlds themselves.
+    if used == (1 << n) - 1:
+        return range(used, -1, -1)
+    out = [0]
+    for b in range(n - 1, -1, -1):
+        if used >> b & 1:
+            out = [y for x in out for y in (x + x + 1, x + x)]
+        else:
+            out = [y for x in out for y in (x, x)]
+    return out
+
+
+def table_partitions(
+    kb: KnowledgeBase,
+) -> tuple[int, tuple[WorldSet, ...], int, Sequence[int], Sequence[int]]:
+    """The falsifying sets of ``rule_partitions(kb)``, and how the worlds
+    over all m atoms, in table order, read a per-world table over them.
+
+    Table order splits the atoms into a high half, the first m // 2, and a
+    low half, the rest: it runs over the worlds h of the high half, all-true
+    first, and for each h over the worlds l of the low half, all-true
+    first.  Returns (m', falsifying, s, high, low): the world of the i-th h
+    and the j-th l restricts to world (high[i] << s) + low[j] over the m'
+    mentioned atoms, where s is the number of them in the low half."""
+    m = kb.m
+    used, drop = _dropped(kb.conditionals, m)
+    n_low = m - m // 2
+    low_used = used & ((1 << n_low) - 1)
+    return (
+        m - len(drop),
+        _partitions(kb.conditionals, drop)[1],
+        low_used.bit_count(),
+        _restrictions(used >> n_low, m // 2),
+        _restrictions(low_used, n_low),
+    )
+
+
+def table_labels(names: Sequence[str], sep: str) -> tuple[list[str], list[str]]:
+    """The labels of the worlds of the high half and of the low half of the
+    atoms named ``names``, in the table order of ``table_partitions``:
+    their literals, negated atoms marked "-", joined by sep.  A world's
+    label is its high label, sep, and its low label; with one atom or none
+    the high half is empty and its one label is ""."""
+    high, low = names[: len(names) // 2], names[len(names) // 2 :]
+    return (
+        [sep.join(t) for t in product(*[(a, "-" + a) for a in high])],
+        [sep.join(t) for t in product(*[(a, "-" + a) for a in low])],
+    )
 
 
 def world_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
     """Every world's label, indexed by world: its literals, negated atoms
     marked "-", joined by sep (``p b -f w k`` for sep " ", the compact
-    JSON form ``pb-fwk`` for sep "").  Each label is one concatenation of
-    two entries from tables over the high and the low half of the atoms."""
-    half = len(atoms) // 2
-    low = _literal_names(atoms[half:], sep)
-    if not half:
-        return low
-    high = _literal_names(atoms[:half], sep)
-    return [h + sep + lo for h in high for lo in low]
+    JSON form ``pb-fwk`` for sep "")."""
+    high, low = table_labels([a.name for a in atoms], sep)
+    if len(atoms) < 2:
+        return low[::-1]
+    return [h + sep + lo for h in reversed(high) for lo in reversed(low)]

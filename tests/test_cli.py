@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crsolve import gen_synthetic, parse_kb, render_kb
+from crsolve import gen_synthetic, induced_ocf, ocf_records, parse_kb, render_kb, render_table
 from crsolve.cli import main
 
 from tests.helpers import (
@@ -230,6 +230,26 @@ class TestShowOcf:
         records = json.loads(capsys.readouterr().out)
         assert records[0] == {"world": "pbfwk", "rank": 2}
         assert len(records) == 32
+
+    @pytest.mark.parametrize(
+        "text, vector",
+        [
+            (PENGUINS_TEXT, (1, 2, 2, 1, 1)),
+            # Unused atoms in both halves (x0, x1 high; x5, x6 low), seven atoms.
+            ("vars: x0, x1, x2, x3, x4, x5, x6\nrule: (x2 | x3)\nrule: (!x4 ; x3 | top)\n", (7, 2**64)),
+        ],
+    )
+    def test_streamed_output_equals_library(self, tmp_path, capsys, text, vector):
+        # show-ocf writes its table chunk by chunk; the bytes must be those
+        # of the library's whole-table renderings.
+        path = tmp_path / "kb.kb"
+        path.write_text(text)
+        ranking = induced_ocf(parse_kb(text), vector)
+        arg = ",".join(map(str, vector))
+        assert main(["show-ocf", "--vector", arg, str(path)]) == 0
+        assert capsys.readouterr().out == render_table(ranking)
+        assert main(["show-ocf", "--vector", arg, "--json", str(path)]) == 0
+        assert capsys.readouterr().out == json.dumps(ocf_records(ranking)) + "\n"
 
     def test_wrong_length_vector(self, penguins_file, capsys):
         assert main(["show-ocf", "--vector", "1,2", penguins_file]) == 2

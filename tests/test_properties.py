@@ -1,5 +1,6 @@
 """Structural invariants checked over randomly generated knowledge bases."""
 
+import json
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from crsolve import (
     render_table,
 )
 from crsolve.csp import _Box, _propagate_box
+from crsolve.ocf import json_chunks, table_chunks
 from crsolve.worlds import iter_bits, selector, world_signatures, world_sums
 
 from tests.helpers import (
@@ -259,7 +261,53 @@ def test_tables_match_per_world_rendering(text, values):
     kb = parse_kb(text)
     ranking = induced_ocf(kb, tuple(values[: kb.n]))
     assert render_table(ranking) == render_table_ref(ranking)
-    assert ocf_records(ranking) == ocf_records_ref(ranking)
+    records = ocf_records_ref(ranking)
+    assert ocf_records(ranking) == records
+    assert "".join(json_chunks(ranking)) == json.dumps(records) + "\n"
+
+
+def _chunk_edge_kb(rng: random.Random) -> str:
+    """A KB of 1 or 5-9 atoms with names of unequal length, whose rules
+    leave out at least one atom of each half (when there are two), with
+    ``top`` and ``bot`` among their formulas."""
+    m = rng.choice((1, 5, 6, 7, 8, 9))
+    names = [rng.choice("pqrs") * rng.randint(1, 3) + str(i) for i in range(m)]
+    half = m // 2
+    unused = {rng.randrange(half), half + rng.randrange(m - half)} if half else set()
+    pool = [a for i, a in enumerate(names) if i not in unused and rng.random() < 0.8] or names[-1:]
+
+    def formula() -> str:
+        roll = rng.random()
+        if roll < 0.1:
+            return rng.choice(("top", "bot"))
+        terms = []
+        for _ in range(rng.choice((1, 1, 2))):
+            picked = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+            terms.append(", ".join(("!" if rng.random() < 0.5 else "") + a for a in picked))
+        return " ; ".join(terms)
+
+    rules = [f"rule: ({formula()} | {formula()})" for _ in range(rng.randint(0, 5))]
+    return "\n".join(["vars: " + ", ".join(names)] + rules) + "\n"
+
+
+def test_chunked_tables_match_per_world_rendering():
+    # show-ocf writes one chunk per world of the high half of the atoms
+    # (the first m // 2) and reads each row's rank through the world's
+    # restriction to the atoms the rules mention: unused atoms in either
+    # half, odd m, one atom (no high half), top/bot rules and ranks of
+    # 2**64 or more must all give the per-world rendering.
+    rng = random.Random(18)
+    for _ in range(150):
+        kb = parse_kb(_chunk_edge_kb(rng))
+        v = tuple(rng.choice((0, 1, 2, 7, 300, 2**64 - 1, 2**64 + 5, 2**70)) for _ in range(kb.n))
+        ranking = induced_ocf(kb, v)
+        chunks = list(table_chunks(ranking))
+        assert len(chunks) == 2 ** (kb.m // 2)
+        assert {c.count("\n") for c in chunks} == {2 ** (kb.m - kb.m // 2)}
+        assert "".join(chunks) == render_table(ranking) == render_table_ref(ranking)
+        records = ocf_records_ref(ranking)
+        assert ocf_records(ranking) == records
+        assert "".join(json_chunks(ranking)) == json.dumps(records) + "\n"
 
 
 @settings(max_examples=30)
