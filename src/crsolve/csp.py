@@ -62,7 +62,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, islice, product
-from operator import le
+from operator import itemgetter, le
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -212,65 +212,94 @@ def check_solution(p: CRProblem, v: KappaVector) -> bool:
     """Exact test of the constraint conjunction at vector v: propagation on
     the single point lo = hi = v raises a bound exactly where v violates a
     constraint."""
-    if len(v) != p.n:
-        raise ValueError(f"vector has length {len(v)}, expected {p.n}")
+    n = p.n
+    if len(v) != n:
+        raise ValueError(f"vector has length {len(v)}, expected {n}")
     if any(x < 0 for x in v):
         return False
-    return _propagate_box(_Box(p, v, v, occurrences=False), range(p.n))
+    return _propagate_box(_Box(p, v), range(n))
+
+
+def _readers(sig_ids: list[list[int]]) -> list[Callable[[list[int]], tuple[int, ...]] | None]:
+    """For each rule, one C-level read of the sums numbered in its list, as
+    a tuple, or None for an empty list.  ``itemgetter`` of one index
+    returns the bare item, so a single index is read twice."""
+    return [
+        itemgetter(*ids) if len(ids) > 1 else itemgetter(ids[0], ids[0]) if ids else None
+        for ids in sig_ids
+    ]
+
+
+def _containing(sigs: Iterable[tuple[int, ...]], n: int) -> list[list[int]]:
+    """For each variable j < n, the numbers of the signatures that mention j."""
+    containing: list[list[int]] = [[] for _ in range(n)]
+    for s, sig in enumerate(sigs):
+        for j in sig:
+            containing[j].append(s)
+    return containing
 
 
 class _Box:
     """The bounds of one solve or check, with the sums and occurrence lists
-    that propagation reads and the trail that undoes its changes.
+    that propagation reads and the trail that puts lo back.
 
     ``lo`` and ``hi`` are the bounds.  The distinct V-signatures are
     numbered in order of first occurrence: ``vsig_ids[i]`` lists the
-    numbers of rule i's, and ``sums[s]`` is the sum of ``lo`` over
-    signature s.  ``containing[j]`` holds the signatures that mention j,
-    ``raised_by[j]`` the rules whose V-signatures mention j (their floors
-    rise with lo[j]) and ``touched_by[j]`` the rules whose V- or
-    F-signatures mention j (their floors may move when lo[j] rises or
-    hi[j] falls).  ``occurrences=False`` leaves the three lists out, for a
-    point box (lo = hi), where propagation never reads them: any raise of
-    lo_i passes hi_i and fails first.  A trail entry ``(j, lo_j, hi_j)``
-    holds the bounds of j before one change.
+    numbers of rule i's, ``sums[s]`` is the sum of ``lo`` over signature
+    s, and ``vread[i]`` reads rule i's sums in one call.  The distinct
+    F-signatures are numbered apart in the same way: ``fsig_ids[i]``,
+    ``fsums[t]``, the sum of ``hi`` over F-signature t, and ``fread[i]``.
+    ``containing[j]`` and ``fcontaining[j]`` hold the V- and the
+    F-signatures that mention j, ``raised_by[j]`` the rules whose
+    V-signatures mention j (their floors rise with lo[j]) and
+    ``touched_by[j]`` the rules whose V- or F-signatures mention j (their
+    floors may move when lo[j] rises or hi[j] falls).
 
-    The stored sums equal the sums recomputed from lo: they start out
-    equal, hi enters no V-sum, and each change pushes a trail entry and
-    adds the rise of lo_j to exactly the sums of ``containing[j]``, the
-    only ones whose fresh value moves.  Undo pops the trail down to a
-    mark, latest entry first, so when an entry for j is popped every later
-    change is already undone and lo_j is back to its value right after
-    that entry's change: restoring j's old bounds and subtracting the same
-    rise from the same sums puts the box back exactly as it was at the
-    mark.
+    Without ``hi`` the box is the point lo = hi, where propagation reads
+    only the readers and their sums: any raise of lo_i passes hi_i and
+    fails first, so the occurrence lists are left out, and a signature's
+    sum over lo is its sum over hi, so ``hi`` is ``lo`` and both sides
+    share one numbering and one list of sums.
+
+    The stored sums equal the sums recomputed fresh.  They start out
+    equal, and each move of a bound adds its change to exactly the sums
+    whose fresh value it moves: a move of lo_j to the sums of
+    ``containing[j]``, a move of hi_j to those of ``fcontaining[j]``.
+    Propagation only raises lo, so hi, and with it every F-sum, moves
+    only where the search labels a variable and where it takes that label
+    back.  A trail entry ``(j, lo_j)`` holds a value of lo_j to put back:
+    undo restores it and subtracts the difference, the current lo_j less
+    the old, from the sums of ``containing[j]``.  Undo pops the trail down
+    to a mark, latest entry first, so each variable with an entry above
+    the mark gets back the value of its earliest such entry.
     """
 
-    def __init__(
-        self, p: CRProblem, lo: Sequence[int], hi: Sequence[int], occurrences: bool = True
-    ):
-        n = p.n
+    def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int] | None = None):
         self.lo = lo = list(lo)
-        self.hi = list(hi)
-        self.trail: list[tuple[int, int, int]] = []
-        self.fsigs = p.falsifying_sigs
-        ids: dict[tuple[int, ...], int] = {}
-        self.vsig_ids = [[ids.setdefault(sig, len(ids)) for sig in vs] for vs in p.verifying_sigs]
-        vsigs = list(ids)
-        self.sums = [sum(map(lo.__getitem__, sig)) for sig in vsigs]
-        if not occurrences:
+        self.trail: list[tuple[int, int]] = []
+        vids: dict[tuple[int, ...], int] = {}
+        fids = vids if hi is None else {}
+        self.vsig_ids = [[vids.setdefault(sig, len(vids)) for sig in vs] for vs in p.verifying_sigs]
+        self.fsig_ids = [[fids.setdefault(sig, len(fids)) for sig in fs] for fs in p.falsifying_sigs]
+        self.vread = _readers(self.vsig_ids)
+        self.fread = _readers(self.fsig_ids)
+        self.sums = [sum(map(lo.__getitem__, sig)) for sig in vids]
+        if hi is None:
+            self.hi, self.fsums = lo, self.sums
             return
-        self.containing = containing = [[] for _ in range(n)]
+        n = p.n
+        self.hi = hi = list(hi)
+        self.fsums = [sum(map(hi.__getitem__, sig)) for sig in fids]
+        self.containing = _containing(vids, n)
+        self.fcontaining = _containing(fids, n)
         self.raised_by = raised_by = [[] for _ in range(n)]
         self.touched_by = touched_by = [[] for _ in range(n)]
-        for s, sig in enumerate(vsigs):
-            for j in sig:
-                containing[j].append(s)
         for i, (vs, fs) in enumerate(zip(p.verifying_sigs, p.falsifying_sigs)):
-            in_v = set().union(*vs)
-            for j in in_v:
+            mentioned = set().union(*vs)
+            for j in mentioned:
                 raised_by[j].append(i)
-            for j in in_v.union(*fs):
+            mentioned.update(*fs)
+            for j in mentioned:
                 touched_by[j].append(i)
 
 
@@ -285,9 +314,8 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
         lo_i <- max(lo_i, 1 + min_sig(V_i, lo) - min_sig(F_i, hi))
 
     and a raised lo_i queues the rules of ``raised_by[i]``, whose floors
-    rise with it.  min_sig(V_i, lo) is the least of rule i's stored sums.
-    Only lower bounds move within a call, so min_sig(F_i, hi) is computed
-    once, when rule i is first popped.  The update is monotone in the
+    rise with it.  Both minima are read from the stored sums, the least
+    of rule i's V-sums and of its F-sums.  The update is monotone in the
     bounds and only raises lo, never past hi, so the worklist runs out,
     and it does so with every rule satisfied: the result is the least
     fixpoint above the given lo, whatever the order of the updates.
@@ -303,28 +331,28 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
     fixpoint as a start with every rule queued.  On failure the box is
     left as it was at the failing rule; the search undoes it.
     """
-    lo, hi, sums = box.lo, box.hi, box.sums
-    vsig_ids, fsigs, trail = box.vsig_ids, box.fsigs, box.trail
+    # Nothing queued, nothing moved: skip building the worklist, as at
+    # every node whose label no rule's signatures mention.
+    if not queue:
+        return True
+    lo, hi, sums, fsums = box.lo, box.hi, box.sums, box.fsums
+    vread, fread, trail = box.vread, box.fread, box.trail
     queue = deque(queue)
     queued = set(queue)
-    fmin: dict[int, int] = {}
     while queue:
         i = queue.popleft()
         queued.discard(i)
-        ids = vsig_ids[i]
-        if not ids:
+        read_v = vread[i]
+        if read_v is None:
             return False
-        fs = fsigs[i]
-        if not fs:
+        read_f = fread[i]
+        if read_f is None:
             continue
-        f = fmin.get(i)
-        if f is None:
-            f = fmin[i] = min(sum(map(hi.__getitem__, sig)) for sig in fs)
-        floor = min(map(sums.__getitem__, ids)) - f + 1
+        floor = 1 + min(read_v(sums)) - min(read_f(fsums))
         if floor > lo[i]:
             if floor > hi[i]:
                 return False
-            trail.append((i, lo[i], hi[i]))
+            trail.append((i, lo[i]))
             d = floor - lo[i]
             lo[i] = floor
             for s in box.containing[i]:
@@ -359,26 +387,35 @@ def _search(
 
     One box serves the whole search.  The open nodes form a stack: the
     node at depth idx labels variable idx, and keeps the next value to try
-    and its mark, the trail length taken as soon as its propagation
-    succeeds.  Nothing below a mark is popped while its node is open, so
-    undoing to the mark gives back that node's fixpoint before each of its
-    children; no bounds are copied per child."""
+    and its mark.  When its propagation succeeds, the node pushes lo_idx
+    on the trail and takes the trail length as its mark.  Its children
+    move lo_idx and hi_idx straight from one label to the next, off the
+    trail, and undoing to the mark before each child takes back only the
+    previous child's propagation, which never moves a labelled variable;
+    no bounds are copied per child.  Propagation never moves hi, so every
+    variable not labelled has hi = bound: closing the node puts hi_idx
+    back to bound, and the parent's undo pops the entry that puts lo_idx
+    back, which leaves the parent's fixpoint."""
     n = p.n
-    box = _Box(p, [0] * n, [p.bound] * n)
-    lo, hi, sums, trail = box.lo, box.hi, box.sums, box.trail
-    containing, touched_by = box.containing, box.touched_by
+    bound = p.bound
+    box = _Box(p, [0] * n, [bound] * n)
+    lo, hi, sums, fsums, trail = box.lo, box.hi, box.sums, box.fsums, box.trail
+    containing, fcontaining, touched_by = box.containing, box.fcontaining, box.touched_by
     values: list[int] = []
     marks: list[int] = []
     queue: Iterable[int] = range(n)
     while True:
-        # Enter a node: the root, or the child just labelled.
-        _check_deadline(deadline)
+        # Enter a node: the root, or the child just labelled.  The deadline
+        # test is _check_deadline inlined, since it runs at every node.
+        if deadline is not None and perf_counter() > deadline:
+            raise SolveTimeout
         if _propagate_box(box, queue) and not (cut is not None and cut(lo)):
             idx = len(values)
             if idx == n:
                 yield tuple(lo)
             else:
                 values.append(lo[idx])
+                trail.append((idx, lo[idx]))
                 marks.append(len(trail))
         # Label the next child of the deepest open node, closing the
         # nodes whose values are used up.
@@ -386,30 +423,34 @@ def _search(
             idx = len(values) - 1
             mark = marks[idx]
             while len(trail) > mark:
-                j, lo_j, hi[j] = trail.pop()
+                j, lo_j = trail.pop()
                 d = lo[j] - lo_j
                 lo[j] = lo_j
                 for s in containing[j]:
                     sums[s] -= d
             val = values[idx]
-            if val > hi[idx]:
-                values.pop()
-                marks.pop()
-                continue
-            values[idx] = val + 1
-            trail.append((idx, lo[idx], hi[idx]))
-            d = val - lo[idx]
-            lo[idx] = hi[idx] = val
-            for s in containing[idx]:
-                sums[s] += d
-            # A larger value only raises the bounds, so a cut here is final.
-            if cut is not None and cut(lo):
-                values.pop()
-                marks.pop()
-                continue
-            # Seed the child with the rules its label can move.
-            queue = touched_by[idx]
-            break
+            if val <= bound:
+                values[idx] = val + 1
+                d = val - lo[idx]
+                lo[idx] = val
+                for s in containing[idx]:
+                    sums[s] += d
+                d = val - hi[idx]
+                hi[idx] = val
+                for t in fcontaining[idx]:
+                    fsums[t] += d
+                # A larger value only raises the bounds, so a cut here is final.
+                if cut is None or not cut(lo):
+                    # Seed the child with the rules its label can move.
+                    queue = touched_by[idx]
+                    break
+            # Close the node; the parent's undo then puts lo_idx back.
+            values.pop()
+            marks.pop()
+            d = bound - hi[idx]
+            hi[idx] = bound
+            for t in fcontaining[idx]:
+                fsums[t] += d
         else:
             return
 

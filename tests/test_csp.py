@@ -174,9 +174,13 @@ def propagate_box(p, lo=None, hi=None, queue=None):
 
 def assert_sums_fresh(box, p, context):
     """Every stored sum of every rule's V-signatures equals the sum
-    recomputed from lo."""
+    recomputed from lo, and every stored sum of its F-signatures the sum
+    recomputed from hi."""
     stored = [box.sums[s] for ids in box.vsig_ids for s in ids]
     fresh = [sum(box.lo[j] for j in sig) for vs in p.verifying_sigs for sig in vs]
+    assert stored == fresh, context
+    stored = [box.fsums[t] for ids in box.fsig_ids for t in ids]
+    fresh = [sum(box.hi[j] for j in sig) for fs in p.falsifying_sigs for sig in fs]
     assert stored == fresh, context
 
 
@@ -185,14 +189,17 @@ def search_checking_nodes(kb, p, compiled, rng, monkeypatch):
     paths and backtracks through its one box, and check every node as it
     is propagated.  On entry the box must hold its parent's fixpoint with
     only the labelled variable moved; after propagation its bounds must
-    equal the reference fixpoint, and at both points every stored V-sum
-    must equal its sum recomputed from lo.  Returns the depths of the
-    feasible nodes."""
+    equal the reference fixpoint.  Every stored sum must equal its sum
+    recomputed from the bounds on entry, after propagation, and at every
+    cut, which the search also asks right after each undo and label.
+    Returns the depths of the feasible nodes."""
     n = p.n
     fixpoints = []  # (lo, hi) of the feasible node at each depth on the path
     depths = []
+    boxes = []
 
     def checking(box, queue):
+        boxes.append(box)
         # The root queues every rule, a child the rules that mention the
         # variable it labelled.
         if isinstance(queue, range):
@@ -216,11 +223,16 @@ def search_checking_nodes(kb, p, compiled, rng, monkeypatch):
             depths.append(depth)
         return feasible
 
+    def cut(lo):
+        assert_sums_fresh(boxes[-1], p, render_kb(kb))
+        # Past 60 feasible nodes every node is cut, so the search winds up.
+        return len(depths) > 60 or rng.random() < 0.3
+
     with monkeypatch.context() as patch:
         patch.setattr(csp, "_propagate_box", checking)
-        # Past 60 feasible nodes every node is cut, so the search winds up.
-        for _ in csp._search(p, lambda lo: len(depths) > 60 or rng.random() < 0.3):
+        for _ in csp._search(p, cut):
             pass
+    assert all(box is boxes[0] for box in boxes)
     return depths
 
 
@@ -305,6 +317,8 @@ class TestNodeCounts:
             (pareto_min, 6, 785),
             (pareto_min, 7, 4015),
             (solve_min_sum, 6, 45),
+            (enumerate_solutions, 3, 221),
+            (enumerate_solutions, 4, 6527),
         ],
     )
     def test_chain_nodes_at_most(self, solver, n, nodes, monkeypatch):
