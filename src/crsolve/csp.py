@@ -48,8 +48,23 @@ r is the identity and compilation scans all 2**m worlds.
 
 One labelling engine, ``_search``, serves every solver.  It keeps one
 ``_Box`` of bounds per solve and propagates it at every node
-(``_propagate_box``); the solvers differ only in the cut that it asks at
-each node.  ``check_solution`` propagates a box of one point.
+(``_propagate_box``); the solvers differ only in what drops a node.
+``pareto_min`` asks a dominance cut at each node.  ``solve_min_sum`` and
+``all_min_sum`` give a ceiling instead, the largest sum a solution they
+still want may have: one less than the incumbent's sum for the minimum,
+the incumbent's sum for all minima, which keeps ties.  The ceiling is
+checked inside propagation, not after it.  Before a node propagates, the
+search stores its headroom, the ceiling less sum(lo), on the box;
+propagation subtracts every raise of lo from it and fails the node as
+soon as it goes negative.  That is exact.  Propagation only raises lo,
+and every solution under the node is >= the fixpoint lo, which is >= the
+current lo; so once sum(lo) passes the ceiling, no wanted solution lies
+under the node.  A node stopped early is one that propagating to the
+fixpoint and then cutting on sum(lo) would have dropped, or that would
+have failed, so the same nodes are visited and the same solutions found.
+The trail entries an early stop leaves are taken back by the undo to the
+node's mark, as after a domain wipe-out.  ``check_solution`` propagates a
+box of one point.
 
 A CRProblem is immutable after build; each solve call builds its own box
 and trail, so concurrent solves on one problem are safe.
@@ -261,6 +276,11 @@ class _Box:
     sum over lo is its sum over hi, so ``hi`` is ``lo`` and both sides
     share one numbering and one list of sums.
 
+    ``headroom`` is how far one propagation call may raise sum(lo) before
+    it fails the node (see the module docstring).  It starts at sum(hi)
+    less sum(lo), which no propagation can use up; a search with a
+    ceiling sets it before every node.
+
     The stored sums equal the sums recomputed fresh.  They start out
     equal, and each move of a bound adds its change to exactly the sums
     whose fresh value it moves: a move of lo_j to the sums of
@@ -286,9 +306,11 @@ class _Box:
         self.sums = [sum(map(lo.__getitem__, sig)) for sig in vids]
         if hi is None:
             self.hi, self.fsums = lo, self.sums
+            self.headroom = 0
             return
         n = p.n
         self.hi = hi = list(hi)
+        self.headroom = sum(hi) - sum(lo)
         self.fsums = [sum(map(hi.__getitem__, sig)) for sig in fids]
         self.containing = _containing(vids, n)
         self.fcontaining = _containing(fids, n)
@@ -305,7 +327,9 @@ class _Box:
 
 def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
     """Tighten ``box.lo`` to its least fixpoint in place, keeping the
-    signature sums; False if some domain empties.
+    signature sums; False if some domain empties or the raises of lo
+    exceed ``box.headroom``, the ceiling's early stop of the module
+    docstring.
 
     A FIFO worklist of rules, seeded with ``queue`` and driven by the
     occurrence lists, as in AC-3 (Mackworth, AIJ 1977).  Popping rule i
@@ -328,8 +352,9 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
     lo_j and lowers hi_j and moves nothing else; that moves only the
     floors of ``touched_by[j]``, and rule j's own floor does not depend on
     j, so the child queues ``touched_by[j]`` and reaches the same least
-    fixpoint as a start with every rule queued.  On failure the box is
-    left as it was at the failing rule; the search undoes it.
+    fixpoint as a start with every rule queued.  On failure, a domain
+    wipe-out or an early stop, the box is left as it was at the failing
+    rule; the search undoes it.
     """
     # Nothing queued, nothing moved: skip building the worklist, as at
     # every node whose label no rule's signatures mention.
@@ -337,6 +362,7 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
         return True
     lo, hi, sums, fsums = box.lo, box.hi, box.sums, box.fsums
     vread, fread, trail = box.vread, box.fread, box.trail
+    headroom = box.headroom
     queue = deque(queue)
     queued = set(queue)
     while queue:
@@ -350,10 +376,11 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
             continue
         floor = 1 + min(read_v(sums)) - min(read_f(fsums))
         if floor > lo[i]:
-            if floor > hi[i]:
-                return False
-            trail.append((i, lo[i]))
             d = floor - lo[i]
+            if floor > hi[i] or d > headroom:
+                return False
+            headroom -= d
+            trail.append((i, lo[i]))
             lo[i] = floor
             for s in box.containing[i]:
                 sums[s] += d
@@ -373,17 +400,22 @@ def _search(
     p: CRProblem,
     cut: Callable[[list[int]], bool] | None = None,
     deadline: float | None = None,
+    ceiling: Callable[[], int] | None = None,
 ) -> Iterator[KappaVector]:
     """Depth-first labelling in rule order, values ascending; yields the
-    box solutions in lexicographic order.  Every node, the root included,
-    is propagated on entry and skipped with its subtree when propagation
+    box solutions in lexicographic order, with a ``ceiling`` only those
+    whose sum is at most ``ceiling()``.  Every node, the root included, is
+    propagated on entry and skipped with its subtree when propagation
     fails or ``cut`` rejects its lower bounds.
 
     After propagation, lo (the assigned prefix plus the lower bounds of
     the other variables) is below every solution under the node.  Each
     solver's cut holds on lo only when it holds on every vector >= lo, so
-    it drops no solution the solver wants.  The cut is asked again at
-    each node, so it may tighten as the caller consumes solutions.
+    it drops no solution the solver wants.  The ceiling bounds sum(lo)
+    during propagation too, through the box's headroom; the module
+    docstring shows that this drops the same nodes as a cut on sum(lo)
+    after it.  The cut and the ceiling are asked again at each node, so
+    they may tighten as the caller consumes solutions.
 
     One box serves the whole search.  The open nodes form a stack: the
     node at depth idx labels variable idx, and keeps the next value to try
@@ -404,6 +436,9 @@ def _search(
     values: list[int] = []
     marks: list[int] = []
     queue: Iterable[int] = range(n)
+    if ceiling is not None:
+        box.headroom = ceiling()  # sum(lo) is 0 at the root
+    headroom = box.headroom
     while True:
         # Enter a node: the root, or the child just labelled.  The deadline
         # test is _check_deadline inlined, since it runs at every node.
@@ -439,8 +474,11 @@ def _search(
                 hi[idx] = val
                 for t in fcontaining[idx]:
                     fsums[t] += d
-                # A larger value only raises the bounds, so a cut here is final.
-                if cut is None or not cut(lo):
+                # A larger value only raises the bounds, so a cut here is
+                # final; so is a sum of lo above the ceiling.
+                if ceiling is not None:
+                    headroom = box.headroom = ceiling() - sum(lo)
+                if headroom >= 0 and (cut is None or not cut(lo)):
                     # Seed the child with the rules its label can move.
                     queue = touched_by[idx]
                     break
@@ -480,8 +518,9 @@ def solve_min_sum(
     the box holds no solution.
     """
     best: tuple[int, KappaVector] | None = None
-    # Each solution the cut lets through has a smaller sum than the last.
-    for v in _search(p, lambda lo: best is not None and sum(lo) >= best[0], deadline):
+    top = p.n * p.bound
+    # Each solution under the ceiling has a smaller sum than the last.
+    for v in _search(p, deadline=deadline, ceiling=lambda: top if best is None else best[0] - 1):
         best = sum(v), v
     if best is None:
         raise InfeasibleError(p.bound, p.degenerate_rules)
@@ -493,7 +532,8 @@ def all_min_sum(p: CRProblem, deadline: float | None = None) -> SolutionSet:
     branch-and-bound pass that keeps ties."""
     minimal: int | None = None
     vectors: list[KappaVector] = []
-    for v in _search(p, lambda lo: minimal is not None and sum(lo) > minimal, deadline):
+    top = p.n * p.bound
+    for v in _search(p, deadline=deadline, ceiling=lambda: top if minimal is None else minimal):
         total = sum(v)
         if minimal is None or total < minimal:
             minimal, vectors = total, []

@@ -184,21 +184,35 @@ def assert_sums_fresh(box, p, context):
     assert stored == fresh, context
 
 
-def search_checking_nodes(kb, p, compiled, rng, monkeypatch):
-    """Run the search with a random cut, so that it walks random labelling
-    paths and backtracks through its one box, and check every node as it
-    is propagated.  On entry the box must hold its parent's fixpoint with
-    only the labelled variable moved; after propagation its bounds must
-    equal the reference fixpoint.  Every stored sum must equal its sum
-    recomputed from the bounds on entry, after propagation, and at every
-    cut, which the search also asks right after each undo and label.
-    Returns the depths of the feasible nodes."""
+def search_checking_nodes(kb, p, compiled, rng, monkeypatch, ceiling=None):
+    """Run the search with a random cut, or with a sum ceiling, so that it
+    walks random labelling paths and backtracks through its one box, and
+    check every node as it is propagated.  On entry the box must hold its
+    parent's fixpoint with only the labelled variable moved; after
+    propagation its bounds must equal the reference fixpoint.  Every
+    stored sum must equal its sum recomputed from the bounds on entry,
+    after propagation, and at every cut, which the search also asks right
+    after each undo and label.
+
+    With a ``ceiling``, the search gets a sum ceiling in place of the
+    random cut.  It starts at ``ceiling`` and, after each solution, drops
+    to the solution's sum or one less, as the sum solvers' ceilings do.
+    A node must then be feasible exactly when the reference fixpoint
+    exists and its sum is at most the ceiling; propagation stops early at
+    the other nodes that have a fixpoint.  The sums are also checked each
+    time the search asks the ceiling, and once the search is done the box
+    must hold the root's fixpoint again, but for the root's label.
+    Returns the depths of the feasible nodes and the number of early
+    stops."""
     n = p.n
     fixpoints = []  # (lo, hi) of the feasible node at each depth on the path
     depths = []
     boxes = []
+    limit = ceiling
+    stops = 0
 
     def checking(box, queue):
+        nonlocal stops
         boxes.append(box)
         # The root queues every rule, a child the rules that mention the
         # variable it labelled.
@@ -213,8 +227,10 @@ def search_checking_nodes(kb, p, compiled, rng, monkeypatch):
         assert (box.lo, box.hi) == (want_lo, want_hi), render_kb(kb)
         assert_sums_fresh(box, p, render_kb(kb))
         want = propagate_ref(kb, box.lo, box.hi, compiled)
+        fits = want is not None and (limit is None or sum(want) <= limit)
         feasible = _propagate_box(box, queue)
-        assert feasible == (want is not None), (render_kb(kb), want_lo, want_hi)
+        assert feasible == fits, (render_kb(kb), want_lo, want_hi, limit)
+        stops += want is not None and not fits
         assert_sums_fresh(box, p, render_kb(kb))
         if feasible:
             assert (box.lo, box.hi) == (want, want_hi), (render_kb(kb), want_lo, want_hi)
@@ -226,14 +242,27 @@ def search_checking_nodes(kb, p, compiled, rng, monkeypatch):
     def cut(lo):
         assert_sums_fresh(boxes[-1], p, render_kb(kb))
         # Past 60 feasible nodes every node is cut, so the search winds up.
-        return len(depths) > 60 or rng.random() < 0.3
+        return len(depths) > 60 or (ceiling is None and rng.random() < 0.3)
+
+    def current_ceiling():
+        if boxes:
+            assert_sums_fresh(boxes[-1], p, render_kb(kb))
+        return limit
 
     with monkeypatch.context() as patch:
         patch.setattr(csp, "_propagate_box", checking)
-        for _ in csp._search(p, cut):
-            pass
+        search = csp._search(p, cut, ceiling=None if ceiling is None else current_ceiling)
+        for v in search:
+            if ceiling is not None:
+                assert sum(v) <= limit, render_kb(kb)
+                limit = sum(v) - rng.randint(0, 1)
     assert all(box is boxes[0] for box in boxes)
-    return depths
+    if 0 in depths:
+        # The root has no parent to undo its label, so lo_0 keeps its last.
+        box, (lo, hi) = boxes[0], fixpoints[0]
+        assert (box.lo[1:], box.hi) == (lo[1:], hi), render_kb(kb)
+        assert_sums_fresh(box, p, render_kb(kb))
+    return depths, stops
 
 
 class TestPropagate:
@@ -275,7 +304,7 @@ class TestPropagate:
             compiled = compile_ref(kb)
             touched_by = _Box(p, [0] * p.n, [p.bound] * p.n).touched_by
             # Carried state: labelling paths with backtracks through one box.
-            depths = search_checking_nodes(kb, p, compiled, walks, monkeypatch)
+            depths, _ = search_checking_nodes(kb, p, compiled, walks, monkeypatch)
             deep_nodes += sum(d >= 3 for d in depths)
             for _ in range(6 if kb.m <= 5 else 3):
                 k = rng.randint(0, p.n)
@@ -302,6 +331,31 @@ class TestPropagate:
                     assert got == want, (render_kb(kb), lo, hi)
         assert deep_nodes >= 100
 
+    def test_ceiling_stops_match_reference(self, monkeypatch):
+        # Searches with a sum ceiling, which propagation checks as it
+        # raises lo.  A node stopped early leaves trail entries behind;
+        # undoing them must give back the parent's fixpoint and fresh sums,
+        # which the next node's entry and the final box check.  The
+        # ceilings start around the minimal sum, where the stops are.
+        rng = random.Random(4721)
+        walks = random.Random(4722)
+        kbs = [parse_kb(random_kb_text(rng, 4, 6)) for _ in range(100)]
+        kbs += [gen_synthetic(n, j) for n in range(2, 8) for j in (0, 2) if j <= 2 * n - 2]
+        stops = deep_nodes = 0
+        for kb in kbs:
+            p = build_problem(kb)
+            try:
+                ceiling = max(0, all_min_sum(p).minimal_sum + walks.randint(-1, 2))
+            except InfeasibleError:
+                ceiling = walks.randint(0, p.n)
+            depths, early = search_checking_nodes(
+                kb, p, compile_ref(kb), walks, monkeypatch, ceiling
+            )
+            stops += early
+            deep_nodes += sum(d >= 3 for d in depths)
+        assert stops >= 100
+        assert deep_nodes >= 50
+
 
 class TestNodeCounts:
     """One propagator call per search node, counted exactly: a search that
@@ -317,6 +371,9 @@ class TestNodeCounts:
             (pareto_min, 6, 785),
             (pareto_min, 7, 4015),
             (solve_min_sum, 6, 45),
+            (solve_min_sum, 10, 372),
+            (all_min_sum, 12, 1121),
+            (solve_min_sum, 12, 1036),
             (enumerate_solutions, 3, 221),
             (enumerate_solutions, 4, 6527),
         ],
