@@ -3,7 +3,10 @@
 A knowledge base is a finite list of default rules ("conditionals") over a
 fixed, ordered alphabet of propositional atoms.  The rule ``(B | A)`` reads
 "if A then normally B".  The on-disk format is UTF-8 and line based (one
-leading byte-order mark is ignored):
+leading byte-order mark is ignored).  Lines end at ``\\n``, ``\\r\\n`` and
+``\\r`` only; the other characters that ``str.splitlines`` breaks at (VT,
+FF, FS, GS, RS, NEL, U+2028, U+2029) stay inside a comment's text, and a
+declaration that holds one is rejected:
 
     # penguins, birds, and kiwis
     vars: p, b, f, w, k
@@ -40,11 +43,21 @@ from dataclasses import dataclass
 MAX_ATOMS = 20
 MAX_RULES = 64
 
-_RESERVED = ("top", "bot")
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_VARS_RE = re.compile(r"(\s*)vars\s*:")
-_RULE_RE = re.compile(r"(\s*)rule(?:\s+([A-Za-z_][A-Za-z0-9_]*))?\s*:\s*")
+_RESERVED = frozenset(("top", "bot"))
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+# The characters that str.splitlines() ends lines at, besides \n and \r.
+_BREAKS = "\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+# The head of a vars (group 2) or rule line (label: group 3) that holds no
+# character of _BREAKS.
+_DECL_RE = re.compile(rf"(?=[^{_BREAKS}]*\Z)(\s*)(?:(vars)\s*:|rule(?:\s+({_NAME}))?\s*:\s*)")
+# A whole valid atom list, in one match.
+_ATOM_LIST_RE = re.compile(rf"\s*{_NAME}\s*(?:,\s*{_NAME}\s*)*")
+# A conditional whose parentheses and one bar are in place, in one match.
+_CONDITIONAL_RE = re.compile(r"\(([^|]*)\|([^|]*)\)\s*")
+# Splits formula text into blank runs (even indices) and tokens (odd
+# indices): a name or any other single character but a blank.
+_TOKEN_RE = re.compile(rf"({_NAME}|[^ \t])")
 
 
 class KBSyntaxError(ValueError):
@@ -131,166 +144,142 @@ class KnowledgeBase:
         return tuple(a.name for a in self.atoms)
 
 
-def _atom_bit(width: int, index: int) -> int:
-    return 1 << (width - index)
+class _Fault(Exception):
+    """A formula error at a token: (message, token index)."""
 
 
-def _free_term(width: int) -> Term:
-    return Term(width, 0, 0)
+def _dnf(
+    toks: list[str], k: int, bits: dict[str, int], width: int
+) -> tuple[list[tuple[int, int]], int]:
+    """The terms, as (pos, neg) mask pairs, of the formula whose first token
+    is ``toks[k]``, and the index of the first token after it.
 
-
-def _bot_term(width: int) -> Term:
-    bit = _atom_bit(width, 1)
-    return Term(width, bit, bit)
-
-
-def _merge(a: Term, b: Term) -> Term:
-    return Term(a.width, a.pos | b.pos, a.neg | b.neg)
-
-
-class _FormulaParser:
-    """Recursive-descent parser over a single-line formula fragment.
-
-    ``col0`` is the absolute 1-based column of ``text[0]`` in the enclosing
-    line, so error positions point into the original file.
+    ``toks`` is ``_TOKEN_RE.split`` of the text with "" appended as the
+    end, so the tokens sit at the odd indices.  Faults raise ``_Fault``.
     """
-
-    def __init__(self, text: str, line: int, col0: int, atom_index: dict[str, int]):
-        self.text = text
-        self.line = line
-        self.col0 = col0
-        self.atom_index = atom_index
-        self.width = len(atom_index)
-        self.i = 0
-
-    def fail(self, message: str, at: int | None = None):
-        pos = self.i if at is None else at
-        raise KBSyntaxError(message, self.line, self.col0 + pos)
-
-    def _skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i] in " \t":
-            self.i += 1
-
-    def _peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def parse(self) -> tuple[Term, ...]:
-        terms = self._formula()
-        self._skip_ws()
-        if self.i < len(self.text):
-            self.fail(f"unexpected character {self.text[self.i]!r}")
-        return tuple(terms)
-
-    def _formula(self) -> list[Term]:
-        terms = self._conj()
+    terms = []
+    while True:  # one conjunction per pass: its literals' masks, then its groups
+        pos = neg = 0
+        group = None
         while True:
-            self._skip_ws()
-            if self._peek() != ";":
-                return terms
-            self.i += 1
-            terms = terms + self._conj()
-
-    def _conj(self) -> list[Term]:
-        terms = self._lit()
-        while True:
-            self._skip_ws()
-            if self._peek() != ",":
-                return terms
-            self.i += 1
-            rhs = self._lit()
-            terms = [_merge(a, b) for a in terms for b in rhs]
-
-    def _lit(self) -> list[Term]:
-        self._skip_ws()
-        c = self._peek()
-        if c == "!":
-            bang = self.i
-            self.i += 1
-            self._skip_ws()
-            if self._peek() == "(":
-                self.fail("negation applies only to atoms, 'top' and 'bot'", at=bang)
-            return [self._name_term(negated=True)]
-        if c == "(":
-            self.i += 1
-            terms = self._formula()
-            self._skip_ws()
-            if self._peek() != ")":
-                self.fail("expected ')'")
-            self.i += 1
-            return terms
-        return [self._name_term(negated=False)]
-
-    def _name_term(self, negated: bool) -> Term:
-        self._skip_ws()
-        m = _IDENT_RE.match(self.text, self.i)
-        if not m:
-            self.fail("expected an atom, 'top', 'bot', '!' or '('")
-        name = m.group()
-        at = self.i
-        self.i = m.end()
-        if name == "top":
-            return _bot_term(self.width) if negated else _free_term(self.width)
-        if name == "bot":
-            return _free_term(self.width) if negated else _bot_term(self.width)
-        index = self.atom_index.get(name)
-        if index is None:
-            self.fail(f"unknown atom {name!r}", at=at)
-        bit = _atom_bit(self.width, index)
-        return Term(self.width, 0, bit) if negated else Term(self.width, bit, 0)
+            tok = toks[k]
+            if tok == "(":
+                sub, k = _dnf(toks, k + 2, bits, width)
+                if toks[k] != ")":
+                    raise _Fault("expected ')'", k)
+                group = sub if group is None else [(p | q, n | r) for p, n in group for q, r in sub]
+            else:
+                negated = tok == "!"
+                if negated:
+                    k += 2
+                    tok = toks[k]
+                    if tok == "(":
+                        raise _Fault("negation applies only to atoms, 'top' and 'bot'", k - 2)
+                bit = bits.get(tok)
+                if bit is None:
+                    if tok not in _RESERVED:
+                        if _NAME_RE.match(tok):
+                            raise _Fault(f"unknown atom {tok!r}", k)
+                        raise _Fault("expected an atom, 'top', 'bot', '!' or '('", k)
+                    # bot, and !top, is the one contradictory term over the first atom.
+                    bit = 1 << (width - 1) if (tok == "bot") != negated else 0
+                    pos |= bit
+                    neg |= bit
+                elif negated:
+                    neg |= bit
+                else:
+                    pos |= bit
+            k += 2
+            if toks[k] != ",":
+                break
+            k += 2
+        terms += [(pos, neg)] if group is None else [(p | pos, n | neg) for p, n in group]
+        if toks[k] != ";":
+            return terms, k
+        k += 2
 
 
-def _index_of(atoms: tuple[Atom, ...]) -> dict[str, int]:
-    return {a.name: a.index for a in atoms}
+def _formula(
+    text: str, lineno: int, col0: int, bits: dict[str, int], width: int, memo: dict[str, Formula]
+) -> Formula:
+    """The formula ``text``, whose first character sits at column ``col0``.
+
+    ``memo`` maps the formulas already parsed in this call, blanks
+    stripped, to their :class:`Formula`.
+    """
+    key = text.strip(" \t")
+    f = memo.get(key)
+    if f is None:
+        toks = _TOKEN_RE.split(text)
+        toks.append("")  # the end
+        try:
+            terms, k = _dnf(toks, 1, bits, width)
+            if toks[k]:
+                raise _Fault(f"unexpected character {toks[k][0]!r}", k)
+        except _Fault as fault:
+            message, k = fault.args
+            raise KBSyntaxError(message, lineno, col0 + sum(map(len, toks[:k]))) from None
+        f = memo[key] = Formula(tuple([Term(width, p, n) for p, n in terms]))
+    return f
 
 
-def _parse_conditional_body(
-    line: str, start: int, lineno: int, atom_index: dict[str, int]
+def _conditional(
+    line: str, lpar: int, lineno: int, bits: dict[str, int], width: int, memo: dict[str, Formula]
 ) -> tuple[Formula, Formula]:
-    """Parse ``( CONSEQUENT | ANTECEDENT )`` starting at ``line[start]``."""
-    i = start
-    while i < len(line) and line[i] in " \t":
-        i += 1
-    if i >= len(line) or line[i] != "(":
-        raise KBSyntaxError("expected '(' opening the conditional", lineno, i + 1)
-    lpar = i
-    rpar = line.rfind(")")
-    if rpar <= lpar:
-        raise KBSyntaxError("expected ')' closing the conditional", lineno, len(line) + 1)
-    tail = line[rpar + 1 :].strip()
-    if tail:
-        raise KBSyntaxError(
-            "unexpected text after the conditional", lineno, rpar + 2 + line[rpar + 1 :].index(tail[0])
-        )
-    inner = line[lpar + 1 : rpar]
-    bars = inner.count("|")
-    if bars == 0:
-        raise KBSyntaxError("missing '|' between consequent and antecedent", lineno, rpar + 1)
-    if bars > 1:
-        second = lpar + 1 + inner.index("|", inner.index("|") + 1)
-        raise KBSyntaxError("more than one '|' in conditional", lineno, second + 1)
-    bar = lpar + 1 + inner.index("|")
-    cons_text = line[lpar + 1 : bar]
-    ant_text = line[bar + 1 : rpar]
+    """Parse ``( CONSEQUENT | ANTECEDENT )`` with its '(' due at ``line[lpar]``;
+    ``line`` may end in whitespace."""
+    m = _CONDITIONAL_RE.fullmatch(line, lpar)
+    if m is None:
+        raise _conditional_fault(line.rstrip(), lpar, lineno)
+    cons_text, ant_text = m.groups()
+    bar = m.end(1)
     if not cons_text.strip():
         raise KBSyntaxError("empty consequent", lineno, lpar + 2)
     if not ant_text.strip():
         raise KBSyntaxError("empty antecedent", lineno, bar + 2)
-    consequent = Formula(_FormulaParser(cons_text, lineno, lpar + 2, atom_index).parse())
-    antecedent = Formula(_FormulaParser(ant_text, lineno, bar + 2, atom_index).parse())
-    return consequent, antecedent
+    consequent = _formula(cons_text, lineno, lpar + 2, bits, width, memo)
+    return consequent, _formula(ant_text, lineno, bar + 2, bits, width, memo)
+
+
+def _conditional_fault(line: str, lpar: int, lineno: int) -> KBSyntaxError:
+    """The first fault of a conditional that ``_CONDITIONAL_RE`` rejects;
+    ``line`` ends in no whitespace."""
+    if line[lpar : lpar + 1] != "(":
+        return KBSyntaxError("expected '(' opening the conditional", lineno, lpar + 1)
+    rpar = line.rfind(")")
+    if rpar <= lpar:
+        return KBSyntaxError("expected ')' closing the conditional", lineno, len(line) + 1)
+    tail = line[rpar + 1 :]
+    if tail:
+        col = rpar + 2 + len(tail) - len(tail.lstrip())
+        return KBSyntaxError("unexpected text after the conditional", lineno, col)
+    bar = line.find("|", lpar, rpar)
+    if bar < 0:
+        return KBSyntaxError("missing '|' between consequent and antecedent", lineno, rpar + 1)
+    return KBSyntaxError("more than one '|' in conditional", lineno, line.find("|", bar + 1, rpar) + 1)
+
+
+def _bits(atoms: tuple[Atom, ...]) -> dict[str, int]:
+    return {a.name: 1 << (len(atoms) - a.index) for a in atoms}
 
 
 def parse_conditional(text: str, atoms: tuple[Atom, ...]) -> Conditional:
     """Parse an ad-hoc ``(B | A)`` query conditional (id 0, no label)."""
-    consequent, antecedent = _parse_conditional_body(text.rstrip(), 0, 1, _index_of(atoms))
+    line = text.rstrip()
+    lpar = len(line) - len(line.lstrip(" \t"))
+    consequent, antecedent = _conditional(line, lpar, 1, _bits(atoms), len(atoms), {})
     return Conditional(0, antecedent, consequent)
 
 
 def _parse_vars(line: str, lineno: int, start: int) -> tuple[Atom, ...]:
     rest = line[start:]
+    if _ATOM_LIST_RE.fullmatch(rest):
+        names = _NAME_RE.findall(rest)
+        if len(names) <= MAX_ATOMS and len(set(names) - _RESERVED) == len(names):
+            return tuple(map(Atom, names, range(1, len(names) + 1)))
+    # Invalid: walk the names in order to report the first fault.
     if not rest.strip():
         raise KBSyntaxError("empty vars declaration", lineno, start + 1)
-    atoms: list[Atom] = []
     seen: set[str] = set()
     offset = start
     for piece in rest.split(","):
@@ -299,17 +288,26 @@ def _parse_vars(line: str, lineno: int, start: int) -> tuple[Atom, ...]:
         name = piece.strip()
         if not name:
             raise KBSyntaxError("empty atom name in vars declaration", lineno, col)
-        if not _IDENT_RE.fullmatch(name):
+        if not _NAME_RE.fullmatch(name):
             raise KBSyntaxError(f"invalid atom name {name!r}", lineno, col)
         if name in _RESERVED:
             raise KBSyntaxError(f"{name!r} is reserved and cannot name an atom", lineno, col)
         if name in seen:
             raise KBSyntaxError(f"duplicate atom {name!r}", lineno, col)
-        if len(atoms) == MAX_ATOMS:
+        if len(seen) == MAX_ATOMS:
             raise KBSyntaxError(f"too many atoms (limit {MAX_ATOMS})", lineno, col)
         seen.add(name)
-        atoms.append(Atom(name, len(atoms) + 1))
-    return tuple(atoms)
+    raise AssertionError("no fault in an atom list that failed to match")
+
+
+def _line_fault(line: str, lineno: int) -> KBSyntaxError:
+    """The fault of a line that is neither blank, a comment nor a declaration."""
+    m = re.search(f"[{_BREAKS}]", line)
+    if m:
+        message = f"character {m.group()!r} inside a declaration; lines end only at \\n, \\r\\n or \\r"
+        return KBSyntaxError(message, lineno, m.start() + 1)
+    col = len(line) - len(line.lstrip()) + 1
+    return KBSyntaxError("expected a 'vars:' or 'rule' declaration", lineno, col)
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -317,41 +315,37 @@ def parse_kb(text: str) -> KnowledgeBase:
 
     Atom order is declaration order; conditional ids follow file order.
     One leading U+FEFF (a byte-order mark) is dropped before parsing.
+    Lines end at \\n, \\r\\n and \\r only.
     Raises :class:`KBSyntaxError` (with line and column) on any rejection.
     """
-    text = text.removeprefix("\ufeff")
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final line end starts no line
     atoms: tuple[Atom, ...] | None = None
-    atom_index: dict[str, int] = {}
+    bits: dict[str, int] = {}
+    memo: dict[str, Formula] = {}
     conditionals: list[Conditional] = []
     lineno = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        m_vars = _VARS_RE.match(line)
-        if m_vars:
+    for lineno, line in enumerate(lines, start=1):
+        m = _DECL_RE.match(line)
+        if m is None:
+            stripped = line.strip()
+            if not stripped or stripped[0] == "#":
+                continue
+            raise _line_fault(line, lineno)
+        if m.group(2):
             if atoms is not None:
-                raise KBSyntaxError("duplicate vars declaration", lineno, len(m_vars.group(1)) + 1)
-            atoms = _parse_vars(line, lineno, m_vars.end())
-            atom_index = _index_of(atoms)
+                raise KBSyntaxError("duplicate vars declaration", lineno, len(m.group(1)) + 1)
+            atoms = _parse_vars(line, lineno, m.end())
+            bits = _bits(atoms)
             continue
-        m_rule = _RULE_RE.match(line)
-        if m_rule:
-            if atoms is None:
-                raise KBSyntaxError(
-                    "rules must come after the vars declaration", lineno, len(m_rule.group(1)) + 1
-                )
-            if len(conditionals) == MAX_RULES:
-                raise KBSyntaxError(f"too many rules (limit {MAX_RULES})", lineno, 1)
-            consequent, antecedent = _parse_conditional_body(
-                line.rstrip(), m_rule.end(), lineno, atom_index
-            )
-            conditionals.append(
-                Conditional(len(conditionals) + 1, antecedent, consequent, m_rule.group(2))
-            )
-            continue
-        col = len(line) - len(line.lstrip()) + 1
-        raise KBSyntaxError("expected a 'vars:' or 'rule' declaration", lineno, col)
+        if atoms is None:
+            col = len(m.group(1)) + 1
+            raise KBSyntaxError("rules must come after the vars declaration", lineno, col)
+        if len(conditionals) == MAX_RULES:
+            raise KBSyntaxError(f"too many rules (limit {MAX_RULES})", lineno, 1)
+        consequent, antecedent = _conditional(line, m.end(), lineno, bits, len(atoms), memo)
+        conditionals.append(Conditional(len(conditionals) + 1, antecedent, consequent, m.group(3)))
     if atoms is None:
         raise KBSyntaxError("missing vars declaration", lineno + 1, 1)
     return KnowledgeBase(atoms, tuple(conditionals))

@@ -31,6 +31,14 @@ KBS = {
 }
 NORULES = str(GOLDEN / "norules.kb")
 MODES = ("all", "min", "min-all", "pareto", "ocf-min")
+SYNTAX_ERRORS = (
+    "unknown-atom",
+    "missing-bar",
+    "unbalanced-paren",
+    "duplicate-vars",
+    "invalid-atom",
+    "trailing-text",
+)
 
 
 def _cli_cases() -> dict[str, list[str]]:
@@ -69,6 +77,10 @@ def _cli_cases() -> dict[str, list[str]]:
     )
     for mode in MODES[1:]:
         cases[f"solve-{mode}-birds-limit1"] = ["solve", "--mode", mode, "--limit", "1", KBS["birds"]]
+    # Rejected text: exit code 2 and the position on stderr.
+    for name in SYNTAX_ERRORS:
+        cases[f"syntax-{name}"] = ["solve", "--mode", "min", str(GOLDEN / f"syntax-{name}.kb")]
+    cases["syntax-query-unbalanced-paren"] = ["query", "--min", "(a | b, (f ; !a)", KBS["birds"]]
     return cases
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from crsolve import (
@@ -7,9 +9,16 @@ from crsolve import (
     render_formula,
     render_kb,
 )
+from crsolve.cli import main
 from crsolve.kb import Term
 
-from tests.helpers import BIRDS_TEXT, PENGUINS_TEXT
+from tests.helpers import (
+    BIRDS_TEXT,
+    PENGUINS_TEXT,
+    parse_conditional_ref,
+    parse_kb_ref,
+    random_kb_text,
+)
 
 
 def bit(m, index):
@@ -204,3 +213,215 @@ class TestRoundTrip:
     def test_render_formula_spells_top(self, penguins):
         f = formula("top", penguins.atoms)
         assert render_formula(f, penguins.atoms) == "top"
+
+
+# The characters that str.splitlines() ends lines at besides \n and \r:
+# VT, FF, FS, GS, RS, NEL, U+2028 and U+2029.
+LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestLineEnds:
+    """Lines end at \\n, \\r\\n and \\r only: the line ends that
+    Path.read_text normalises."""
+
+    @pytest.mark.parametrize("ch", LINE_BREAKS)
+    def test_break_in_comment_is_comment_text(self, ch, tmp_path, capsys):
+        # Were the comment split, its tail would be a rule that changes the answer.
+        path = tmp_path / "birds.kb"
+        path.write_text(BIRDS_TEXT.replace("vars:", f"# note{ch}rule: (!a | b)\nvars:"), encoding="utf-8")
+        assert main(["solve", "--mode", "min-all", str(path)]) == 0
+        assert capsys.readouterr().out == "1 0 1\n1 1 0\n"
+
+    @pytest.mark.parametrize("ch", LINE_BREAKS)
+    @pytest.mark.parametrize("after", ["rule: (!f | b)", ""])
+    def test_break_in_rule_line_is_rejected(self, ch, after, tmp_path, capsys):
+        # An editor shows one line here, not two rules; and a trailing break
+        # is no trailing blank.
+        path = tmp_path / "birds.kb"
+        path.write_text(BIRDS_TEXT.replace("(a | f, b)", f"(a | f, b){ch}{after}"), encoding="utf-8")
+        assert main(["solve", "--mode", "min-all", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: line 5, column {len('rule r3: (a | f, b)') + 1}: character {ch!r}")
+
+    @pytest.mark.parametrize("ch", LINE_BREAKS)
+    def test_break_in_vars_line_is_rejected(self, ch, tmp_path, capsys):
+        path = tmp_path / "birds.kb"
+        path.write_text(BIRDS_TEXT.replace("vars: b, f, a", f"vars: b, f,{ch} a"), encoding="utf-8")
+        assert main(["solve", "--mode", "min-all", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line 2, column 12: character {ch!r}")
+
+    @pytest.mark.parametrize("ch", LINE_BREAKS)
+    def test_break_alone_is_a_blank_line(self, ch):
+        assert parse_kb(BIRDS_TEXT.replace("vars:", f"{ch}\n \t{ch}\nvars:")) == parse_kb(BIRDS_TEXT)
+
+
+NAMES = ["a", "b", "c2", "_d", "long_name", "x"]
+# Mutations insert or replace one of these; the characters of LINE_BREAKS
+# are left out, since there the two parsers split lines differently.
+MUTATION_ALPHABET = "()|,;!#:_ \t\n\r01abcx" + "\x1f\xa0\u3000\ufeff\xe9" + "topbotvarsrule"
+
+
+def _blank(rng):
+    return rng.choice(("", "", "", " ", " ", "  ", "\t", " \t"))
+
+
+def _formula_text(rng, names, depth=0):
+    """A formula of the whole grammar: groups up to two deep, '!', top and
+    bot, and blanks and tabs between tokens."""
+
+    def literal():
+        if depth < 2 and rng.random() < 0.2:
+            return "(" + _blank(rng) + _formula_text(rng, names, depth + 1) + _blank(rng) + ")"
+        name = rng.choice(("top", "bot")) if rng.random() < 0.1 else rng.choice(names)
+        return ("!" + _blank(rng) if rng.random() < 0.35 else "") + name
+
+    def conj():
+        return (_blank(rng) + "," + _blank(rng)).join(literal() for _ in range(rng.randint(1, 3)))
+
+    return (_blank(rng) + ";" + _blank(rng)).join(conj() for _ in range(rng.choice((1, 1, 2, 3))))
+
+
+def _conditional_text(rng, names):
+    b = lambda: _blank(rng)  # noqa: E731
+    return f"({b()}{_formula_text(rng, names)}{b()}|{b()}{_formula_text(rng, names)}{b()})"
+
+
+def _valid_kb_text(rng):
+    """Seeded KB text that parses: random_kb_text, or a KB with labels,
+    comments, blank lines, tabs, CR LF line ends and a byte-order mark."""
+    if rng.random() < 0.25:
+        return random_kb_text(rng, 4, 4)
+    names = rng.sample(NAMES, rng.randint(1, len(NAMES)))
+    b = lambda: _blank(rng)  # noqa: E731
+    lines = [f"{b()}vars{b()}:{b()}" + (b() + "," + b()).join(names) + b()]
+    for k in range(rng.randint(0, 5)):
+        label = f" r{k}" if rng.random() < 0.5 else ""
+        lines.append(f"{b()}rule{label}{b()}:{b()}{_conditional_text(rng, names)}{b()}")
+    for _ in range(rng.randint(0, 3)):
+        extra = rng.choice(("", b(), f"{b()}# comment | ( {b()}", "#"))
+        lines.insert(rng.randint(0, len(lines)), extra)
+    end = rng.choice(("\n", "\n", "\r\n"))
+    text = end.join(lines) + rng.choice(("", end))
+    return "\ufeff" + text if rng.random() < 0.15 else text
+
+
+def _mutated(rng, text):
+    """``text`` with one character inserted, deleted or replaced."""
+    at = rng.randrange(len(text) + 1)
+    how = rng.choice(("insert", "delete", "replace"))
+    if how == "insert" or at == len(text):
+        return text[:at] + rng.choice(MUTATION_ALPHABET) + text[at:]
+    if how == "delete":
+        return text[:at] + text[at + 1 :]
+    return text[:at] + rng.choice(MUTATION_ALPHABET) + text[at + 1 :]
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except KBSyntaxError as err:
+        return ("rejected", str(err), err.line, err.column)
+
+
+EDGE_TEXTS = [
+    "",
+    "\ufeff",
+    "\n",
+    "# c",
+    "# c\r\n",
+    "# c\n\n",
+    "# c\r\r\n",
+    "vars:",
+    "vars: a\nvars: a",
+    "  vars: a\n \t vars : b",
+    "rule: (a | a)\nvars: a",
+    "vars: a, top",
+    "vars: bot",
+    "vars: a, b, a, top",
+    "vars: a,, b",
+    "vars: a, b c",
+    "vars: " + ", ".join(f"x{i}" for i in range(20)),
+    "vars: " + ", ".join(f"x{i}" for i in range(21)),
+    "vars: " + ", ".join(f"x{i}" for i in range(21)) + ", x0",
+    "vars: a\n" + "rule: (a | top)\n" * 64,
+    "vars: a\n" + "rule: (a | top)\n" * 65,
+    "vars: a\n" + "rule: (a | top)\n" * 64 + "rule: (q | top)",
+    "vars: a\xa0,\u3000b\x1f",
+    "\xa0vars\xa0:\xa0a\nrule\xa0r\xa0:\xa0(a | a)\xa0\nrule:(a|a)\u3000",
+    "vars: a\nrule: (a | a)\xa0x",
+    "vars: a\nrule: (a\xa0| a)",
+    "vars: a\nrule: (\xa0| a)",
+    "vars: a\nrule: ( \t | \xa0 ) junk",
+    "vars: a\nrule:   ",
+    "vars: a\nrule: ",
+    "vars: a\nrule r1 r2: (a | a)",
+    "vars: a\nrules: (a | a)",
+    "vars: a\nrule 1: (a | a)",
+    "vars: a\nrule: (a | a))",
+    "vars: a\nrule: ((a | a)",
+    "vars: a\nrule: (a) | (a)",
+    "vars: a\nrule: ((a) | (a))",
+    "vars: a\nrule: (a | a | a) )",
+    "vars: a\nrule: (!!a | a)",
+    "vars: a\nrule: (! (a) | a)",
+    "vars: a\nrule: (!top, !bot ; bot | !\ttop)",
+    "vars: a\nrule: (a,a;a | ((a;a),(a;a)))",
+    "vars: a\nrule: (a b | a)",
+    "vars: a\nrule: (1a | a)",
+    "vars: a\nrule: (a1 | a)",
+    "vars: a\nrule: (é | a)",
+    "vars: a\nrule: (aé | a)",
+    "vars: a\nrule: (a, | a)",
+    "vars: a\nrule: (a; | a)",
+    "vars: a\nrule: (a | (a, (a ; a)",
+    "vars: a\n# comment\n  \t\n\t# x\nrule: (a | a)\n\n",
+    "vars: a\r\nrule: (a | a)\r\n",
+    "vars: a\rrule: (a | a)\r",
+    "vars: a\n\ufeffrule: (a | a)",
+]
+
+
+class TestDifferential:
+    """parse_kb and parse_conditional against the character-at-a-time
+    parser they replaced (tests/helpers.py): an equal result, or an equal
+    message, line and column."""
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_edge_texts(self, text):
+        assert _outcome(parse_kb, text) == _outcome(parse_kb_ref, text)
+        atoms = parse_kb("vars: a, b").atoms
+        for line in text.split("\n"):
+            body = line.partition(":")[2]
+            assert _outcome(parse_conditional, body, atoms) == _outcome(parse_conditional_ref, body, atoms)
+
+    def test_kb_texts(self):
+        rng = random.Random(2011)
+        rejected = 0
+        for _ in range(2500):
+            text = _valid_kb_text(rng)
+            assert not any(ch in text for ch in LINE_BREAKS)
+            kb = parse_kb_ref(text)
+            assert parse_kb(text) == kb, text
+            for _ in range(2):
+                bad = _mutated(rng, text)
+                want = _outcome(parse_kb_ref, bad)
+                assert _outcome(parse_kb, bad) == want, bad
+                rejected += isinstance(want, tuple)
+        # Most mutations are errors, and some are still valid text.
+        assert 2500 < rejected < 4900
+
+    def test_conditional_texts(self):
+        rng = random.Random(2016)
+        rejected = 0
+        for _ in range(2500):
+            names = rng.sample(NAMES, rng.randint(1, len(NAMES)))
+            atoms = parse_kb("vars: " + ", ".join(names)).atoms
+            text = _blank(rng) + _conditional_text(rng, names) + _blank(rng)
+            assert parse_conditional(text, atoms) == parse_conditional_ref(text, atoms), text
+            for _ in range(2):
+                bad = _mutated(rng, text)
+                want = _outcome(parse_conditional_ref, bad, atoms)
+                assert _outcome(parse_conditional, bad, atoms) == want, bad
+                rejected += isinstance(want, tuple)
+        assert 2500 < rejected < 4900
