@@ -283,7 +283,9 @@ def _formula_text(rng, names, depth=0):
 
 
 def _conditional_text(rng, names):
-    b = lambda: _blank(rng)  # noqa: E731
+    def b():
+        return _blank(rng)
+
     return f"({b()}{_formula_text(rng, names)}{b()}|{b()}{_formula_text(rng, names)}{b()})"
 
 
@@ -293,7 +295,10 @@ def _valid_kb_text(rng):
     if rng.random() < 0.25:
         return random_kb_text(rng, 4, 4)
     names = rng.sample(NAMES, rng.randint(1, len(NAMES)))
-    b = lambda: _blank(rng)  # noqa: E731
+
+    def b():
+        return _blank(rng)
+
     lines = [f"{b()}vars{b()}:{b()}" + (b() + "," + b()).join(names) + b()]
     for k in range(rng.randint(0, 5)):
         label = f" r{k}" if rng.random() < 0.5 else ""
