@@ -41,7 +41,6 @@ from .ocf import (
     acceptance_ranks,
     accepts,
     induced_ocf,
-    ocf_records,
     render_table,
 )
 from .worlds import (
@@ -81,7 +80,6 @@ __all__ = [
     "gen_synthetic",
     "induced_ocf",
     "ocf_min",
-    "ocf_records",
     "parse_conditional",
     "parse_kb",
     "pareto_min",

@@ -227,14 +227,14 @@ def build_problem(
 
 def check_solution(p: CRProblem, v: KappaVector) -> bool:
     """Exact test of the constraint conjunction at vector v: propagation on
-    the single point lo = hi = v raises a bound exactly where v violates a
-    constraint."""
+    the box of the single point lo = hi = v raises a bound exactly where v
+    violates a constraint, and any raise passes hi, so it fails there."""
     n = p.n
     if len(v) != n:
         raise ValueError(f"vector has length {len(v)}, expected {n}")
     if any(x < 0 for x in v):
         return False
-    return _propagate_box(_Box(p, v), range(n))
+    return _propagate_box(_Box(p, v, v), range(n))
 
 
 def _readers(sig_ids: list[list[int]]) -> list[Callable[[list[int]], tuple[int, ...]] | None]:
@@ -272,12 +272,6 @@ class _Box:
     ``touched_by[j]`` the rules whose V- or F-signatures mention j (their
     floors may move when lo[j] rises or hi[j] falls).
 
-    Without ``hi`` the box is the point lo = hi, where propagation reads
-    only the readers and their sums: any raise of lo_i passes hi_i and
-    fails first, so the occurrence lists are left out, and a signature's
-    sum over lo is its sum over hi, so ``hi`` is ``lo`` and both sides
-    share one numbering and one list of sums.
-
     ``headroom`` is how far one propagation call may raise sum(lo) before
     it fails the node (see the module docstring).  It starts at sum(hi)
     less sum(lo), which no propagation can use up; a search with a
@@ -296,22 +290,18 @@ class _Box:
     the mark gets back the value of its earliest such entry.
     """
 
-    def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int] | None = None):
+    def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
+        n = p.n
         self.lo = lo = list(lo)
+        self.hi = hi = list(hi)
         self.trail: list[tuple[int, int]] = []
         vids: dict[tuple[int, ...], int] = {}
-        fids = vids if hi is None else {}
+        fids: dict[tuple[int, ...], int] = {}
         self.vsig_ids = [[vids.setdefault(sig, len(vids)) for sig in vs] for vs in p.verifying_sigs]
         self.fsig_ids = [[fids.setdefault(sig, len(fids)) for sig in fs] for fs in p.falsifying_sigs]
         self.vread = _readers(self.vsig_ids)
         self.fread = _readers(self.fsig_ids)
         self.sums = [sum(map(lo.__getitem__, sig)) for sig in vids]
-        if hi is None:
-            self.hi, self.fsums = lo, self.sums
-            self.headroom = 0
-            return
-        n = p.n
-        self.hi = hi = list(hi)
         self.headroom = sum(hi) - sum(lo)
         self.fsums = [sum(map(hi.__getitem__, sig)) for sig in fids]
         self.containing = _containing(vids, n)

@@ -26,7 +26,7 @@ once, before any rule.  Each ``rule`` line holds one conditional written
 conditional bar).  Formulas are stored in disjunctive normal form as a
 nonempty tuple of terms.  ``bot`` keeps the tuple nonempty by becoming the
 single contradictory term ``a1, !a1`` over the first declared atom, which
-no world satisfies.
+no world satisfies; with no atom declared, ``bot`` and ``!top`` are errors.
 
 Limits: at most 20 atoms and 64 rules per knowledge base (world sets are
 enumerated exhaustively, so the alphabet is deliberately desk-scale).
@@ -182,9 +182,11 @@ def _dnf(
                             raise _Fault(f"unknown atom {tok!r}", k)
                         raise _Fault("expected an atom, 'top', 'bot', '!' or '('", k)
                     # bot, and !top, is the one contradictory term over the first atom.
-                    bit = 1 << (width - 1) if (tok == "bot") != negated else 0
-                    pos |= bit
-                    neg |= bit
+                    if (tok == "bot") != negated:
+                        if not width:
+                            raise _Fault(f"{tok!r} needs at least one declared atom", k)
+                        pos |= 1 << (width - 1)
+                        neg |= 1 << (width - 1)
                 elif negated:
                     neg |= bit
                 else:

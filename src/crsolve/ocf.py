@@ -20,9 +20,9 @@ onto the 2**|U| worlds over U (the argument of the ``csp`` docstring, with
 U widened by the query's atoms), so both minima are the same in either
 space.
 
-The table outputs (``render_table``, ``ocf_records`` and the chunks
-that ``show-ocf`` writes) rank over the atoms U that the rules mention in
-the same way: one table of 2**|U| ranks, from one ``world_sums``, and each
+The table outputs (``render_table`` and the text and JSON chunks that
+``show-ocf`` writes) rank over the atoms U that the rules mention in the
+same way: one table of 2**|U| ranks, from one ``world_sums``, and each
 of the 2**m worlds reads its rank there through its restriction r(w) to U.
 They list the worlds in table order, one chunk per world of the high half
 of the atoms (the first m // 2), so a chunk holds 2**(m - m // 2) rows and
@@ -103,16 +103,15 @@ def accepts(r: RankingFunction, c: Conditional) -> bool:
     return verified < falsified
 
 
-def _chunk_ranks(r: RankingFunction, text: bool) -> Iterator[Iterator]:
+def _chunk_ranks(r: RankingFunction) -> Iterator[Iterator[str]]:
     # Per world h of the high half in table order, the ranks of the worlds
-    # that extend h, in table order, as strings if text: one table over the
+    # that extend h, in table order, as strings: one table over the
     # mentioned atoms, read through each world's restriction to them
     # (``worlds.table_partitions``).
     m, falsifying, s, high, low = table_partitions(r.kb)
-    table = world_sums(falsifying, r.vector, m)
-    if text:
-        # One formatting call and one split: faster than str() per entry.
-        table = ("%d " * len(table) % table).split()
+    sums = world_sums(falsifying, r.vector, m)
+    # One formatting call and one split: faster than str() per entry.
+    table = ("%d " * len(sums) % sums).split()
     for h in high:
         part = table[h << s : (h + 1) << s]
         yield map(part.__getitem__, low)
@@ -132,7 +131,7 @@ def table_chunks(r: RankingFunction) -> Iterator[str]:
     # short of them by its count of true atoms.
     top, width = len(high[-1]), len(low[-1]) + 2
     cells = [list(map(str.ljust, low, repeat(width + k))) for k in range(len(atoms) // 2 + 1)]
-    for label, ranks in zip(high, _chunk_ranks(r, True)):
+    for label, ranks in zip(high, _chunk_ranks(r)):
         prefix = label + space
         yield prefix + ("\n" + prefix).join(map(add, cells[top - len(label)], ranks)) + "\n"
 
@@ -144,8 +143,9 @@ def render_table(r: RankingFunction) -> str:
 
 
 def json_chunks(r: RankingFunction) -> Iterator[str]:
-    """``json.dumps(ocf_records(r)) + "\\n"``, one string per world of the
-    high half of the atoms, with the same separators and escapes."""
+    """A JSON list of ``{"world": world_names(atoms, "")[w], "rank": rank}``
+    in table order and a newline, with the separators of ``json.dumps``,
+    as one string per world of the high half of the atoms."""
     # Imported here, not with the module: json adds about a millisecond
     # to every import of the package, and only this writer needs it.
     import json
@@ -153,18 +153,8 @@ def json_chunks(r: RankingFunction) -> Iterator[str]:
     high, low = table_labels([json.dumps(a.name)[1:-1] for a in r.kb.atoms], "")
     cells = [label + '", "rank": ' for label in low]
     lead = "["
-    for label, ranks in zip(high, _chunk_ranks(r, True)):
+    for label, ranks in zip(high, _chunk_ranks(r)):
         prefix = '{"world": "' + label
         yield lead + prefix + ("}, " + prefix).join(map(add, cells, ranks))
         lead = "}, "
     yield "}]\n"
-
-
-def ocf_records(r: RankingFunction) -> list[dict]:
-    """JSON-ready records ``{"world": ..., "rank": ...}`` in table order."""
-    high, low = table_labels([a.name for a in r.kb.atoms], "")
-    return [
-        {"world": h + lo, "rank": rank}
-        for h, ranks in zip(high, _chunk_ranks(r, False))
-        for lo, rank in zip(low, ranks)
-    ]

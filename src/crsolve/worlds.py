@@ -1,8 +1,8 @@
 """World semantics: the world sets of rules and queries, and per-world
 tables over them.
 
-This module alone knows how worlds, world sets and per-world tables are
-encoded; the compiler and the ranking layer ask it, never decode them.
+This module alone builds world sets and reads worlds as atoms; the others
+only pick table entries with ``selector`` and slice by ``table_partitions``.
 
 Worlds are dense integers in ``[0, 2**m)``.  The atom with index i occupies
 bit (m - i) of the world index, so the first declared atom is the most

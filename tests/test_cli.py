@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crsolve import gen_synthetic, induced_ocf, ocf_records, parse_kb, render_kb, render_table
+from crsolve import gen_synthetic, induced_ocf, parse_kb, render_kb, render_table
 from crsolve.cli import main
 
 from tests.helpers import (
@@ -16,6 +16,7 @@ from tests.helpers import (
     PENGUINS_RANKS,
     PENGUINS_TEXT,
     induced_ranks_ref,
+    ocf_records_ref,
     penguins_kb,
     world_str,
 )
@@ -207,6 +208,20 @@ class TestQuery:
         assert captured.out == ""
         assert "negative component" in captured.err
 
+    def test_negative_first_component_of_bundled_kb(self, capsys):
+        argv = ["query", "--vector=-1,0,1", "(f | b)", str(ROOT / "kbs" / "birds.kb")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative component" in captured.err
+
+    def test_negative_first_component_needs_equals_sign(self, capsys):
+        # argparse reads "-1,0,1" after a blank as an option, so --vector
+        # has no argument.
+        argv = ["query", "--vector", "-1,0,1", "(f | b)", str(ROOT / "kbs" / "birds.kb")]
+        assert main(argv) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
 
 class TestShowOcf:
     def test_table_matches_reference_ranking(self, penguins_file, capsys):
@@ -249,7 +264,7 @@ class TestShowOcf:
         assert main(["show-ocf", "--vector", arg, str(path)]) == 0
         assert capsys.readouterr().out == render_table(ranking)
         assert main(["show-ocf", "--vector", arg, "--json", str(path)]) == 0
-        assert capsys.readouterr().out == json.dumps(ocf_records(ranking)) + "\n"
+        assert capsys.readouterr().out == json.dumps(ocf_records_ref(ranking)) + "\n"
 
     def test_wrong_length_vector(self, penguins_file, capsys):
         assert main(["show-ocf", "--vector", "1,2", penguins_file]) == 2
@@ -272,6 +287,10 @@ class TestCheck:
 
     def test_negative_vector_component_is_invalid(self, penguins_file, capsys):
         assert main(["check", "--vector=-5,0,0,0,0", penguins_file]) == 1
+        assert capsys.readouterr().out == "invalid\n"
+
+    def test_negative_first_component_of_bundled_kb(self, capsys):
+        assert main(["check", "--vector=-1,0,1", str(ROOT / "kbs" / "birds.kb")]) == 1
         assert capsys.readouterr().out == "invalid\n"
 
     def test_bad_vector_component(self, penguins_file, capsys):

@@ -197,6 +197,18 @@ class TestParseConditional:
     def test_leading_blanks_ignored(self, penguins):
         assert parse_conditional(" \t (w | k)", penguins.atoms) == parse_conditional("(w | k)", penguins.atoms)
 
+    @pytest.mark.parametrize("text, name, column", [("(bot | top)", "bot", 2), ("(!top | top)", "top", 3)])
+    def test_contradiction_needs_an_atom(self, text, name, column):
+        # bot and !top are the contradictory term over the first atom,
+        # which an empty alphabet lacks.
+        with pytest.raises(KBSyntaxError, match=f"'{name}' needs at least one declared atom") as err:
+            parse_conditional(text, ())
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_top_needs_no_atom(self):
+        c = parse_conditional("(top | top)", ())
+        assert c.consequent.terms == c.antecedent.terms == (Term(0, 0, 0),)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [BIRDS_TEXT, PENGUINS_TEXT])

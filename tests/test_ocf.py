@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -10,11 +11,11 @@ from crsolve import (
     all_min_sum,
     build_problem,
     induced_ocf,
-    ocf_records,
     parse_conditional,
     parse_kb,
     render_table,
 )
+from crsolve.ocf import json_chunks
 
 from tests.helpers import (
     PENGUINS_RANKS,
@@ -201,7 +202,7 @@ class TestTableExport:
         assert lines[-1].endswith(" 0")
 
     def test_records_in_table_order(self, penguin_ocf):
-        records = ocf_records(penguin_ocf)
+        records = json.loads("".join(json_chunks(penguin_ocf)))
         assert records[0] == {"world": "pbfwk", "rank": 2}
         assert records[8] == {"world": "p-bfwk", "rank": 5}
         assert records[-1] == {"world": "-p-b-f-w-k", "rank": 0}

@@ -16,7 +16,6 @@ from crsolve import (
     check_solution,
     enumerate_solutions,
     induced_ocf,
-    ocf_records,
     parse_kb,
     pareto_min,
     render_kb,
@@ -262,7 +261,6 @@ def test_tables_match_per_world_rendering(text, values):
     ranking = induced_ocf(kb, tuple(values[: kb.n]))
     assert render_table(ranking) == render_table_ref(ranking)
     records = ocf_records_ref(ranking)
-    assert ocf_records(ranking) == records
     assert "".join(json_chunks(ranking)) == json.dumps(records) + "\n"
 
 
@@ -306,7 +304,6 @@ def test_chunked_tables_match_per_world_rendering():
         assert {c.count("\n") for c in chunks} == {2 ** (kb.m - kb.m // 2)}
         assert "".join(chunks) == render_table(ranking) == render_table_ref(ranking)
         records = ocf_records_ref(ranking)
-        assert ocf_records(ranking) == records
         assert "".join(json_chunks(ranking)) == json.dumps(records) + "\n"
 
 
