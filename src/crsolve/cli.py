@@ -192,12 +192,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _vector_hint(argv: list[str]) -> str | None:
+    """A hint for ``--vector -1,0,1``, which argparse reads as an option
+    string, so that --vector has no argument; None for other arguments."""
+    for flag, value in zip(argv, argv[1:]):
+        if flag == "--vector" and value.startswith("-") and "," in value:
+            return f"hint: attach a vector that starts with '-' to its option: --vector={value}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        code = exc.code if isinstance(exc.code, int) else 2
+        hint = _vector_hint(sys.argv[1:] if argv is None else argv)
+        if code == 2 and hint:
+            print(hint, file=sys.stderr)
+        return code
     try:
         return args.func(args)
     except InfeasibleError as exc:

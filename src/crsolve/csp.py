@@ -68,6 +68,21 @@ The trail entries an early stop leaves are taken back by the undo to the
 node's mark, as after a domain wipe-out.  ``check_solution`` propagates a
 box of one point.
 
+A node labels its variable x with ascending values, and after a child
+x = v fails, by a domain wipe-out, the ceiling's early stop or the cut,
+it propagates the right branch x >= v + 1 before it labels v + 1, as
+CLP(FD) labelling propagates x != v.  That is sound.  The box x >= v + 1
+under the node holds every later child and every solution under them.
+Its least fixpoint is below all of those solutions, so when propagating
+the box fails, no later child holds a solution, and the node closes.  A
+cut or ceiling that rejects the box's lo rejects every vector above it,
+so it is final for all the later children too.  When the box holds, the
+later children start from its fixpoint, which is the least fixpoint
+above their own boxes anyway, and the first value left to label is that
+fixpoint's lo of x.  The right branch only drops children without
+solutions and tightens bounds, so the same solutions come out in the
+same lexicographic order.
+
 A CRProblem is immutable after build; each solve call builds its own box
 and trail, so concurrent solves on one problem are safe.
 """
@@ -282,10 +297,12 @@ class _Box:
     whose fresh value it moves: a move of lo_j to the sums of
     ``containing[j]``, a move of hi_j to those of ``fcontaining[j]``.
     Propagation only raises lo, so hi, and with it every F-sum, moves
-    only where the search labels a variable and where it takes that label
-    back.  A trail entry ``(j, lo_j)`` holds a value of lo_j to put back:
-    undo restores it and subtracts the difference, the current lo_j less
-    the old, from the sums of ``containing[j]``.  Undo pops the trail down
+    only where the search labels a variable, where it takes that label
+    back and where it enters a right branch, which puts hi of the node's
+    variable back to the bound.  A trail entry ``(j, lo_j)`` holds a
+    value of lo_j to put back: undo restores it and subtracts the
+    difference, the current lo_j less the old, from the sums of
+    ``containing[j]``.  Undo pops the trail down
     to a mark, latest entry first, so each variable with an entry above
     the mark gets back the value of its earliest such entry.
     """
@@ -344,7 +361,9 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
     lo_j and lowers hi_j and moves nothing else; that moves only the
     floors of ``touched_by[j]``, and rule j's own floor does not depend on
     j, so the child queues ``touched_by[j]`` and reaches the same least
-    fixpoint as a start with every rule queued.  On failure, a domain
+    fixpoint as a start with every rule queued.  A right branch raises
+    only lo_j above its node's fixpoint, where hi_j is the bound already,
+    so it queues ``raised_by[j]``.  On failure, a domain
     wipe-out or an early stop, the box is left as it was at the failing
     rule; the search undoes it.
     """
@@ -409,6 +428,17 @@ def _search(
     after it.  The cut and the ceiling are asked again at each node, so
     they may tighten as the caller consumes solutions.
 
+    After a child x_idx = v fails, at entry, the node first enters the
+    right branch x_idx >= v + 1 (module docstring): it puts hi_idx back to
+    bound, raises lo_idx to v + 1, tests the deadline, asks the ceiling
+    and the cut and propagates.  Against the node's fixpoint only lo_idx
+    rose, so only the rules of ``raised_by[idx]`` are queued.  If the box
+    fails, the node closes, since every later value lies inside it;
+    otherwise the node's mark moves above the box's fixpoint and the next
+    value is its lo_idx.  After a child that passed its entry, the next
+    value is labelled at once.  One flag, whether the last child entered
+    failed, carries this between nodes.
+
     One box serves the whole search.  The open nodes form a stack: the
     node at depth idx labels variable idx, and keeps the next value to try
     and its mark.  When its propagation succeeds, the node pushes lo_idx
@@ -416,15 +446,19 @@ def _search(
     move lo_idx and hi_idx straight from one label to the next, off the
     trail, and undoing to the mark before each child takes back only the
     previous child's propagation, which never moves a labelled variable;
-    no bounds are copied per child.  Propagation never moves hi, so every
-    variable not labelled has hi = bound: closing the node puts hi_idx
-    back to bound, and the parent's undo pops the entry that puts lo_idx
-    back, which leaves the parent's fixpoint."""
+    no bounds are copied per child.  A right branch moves lo_idx and
+    hi_idx off the trail too, and what its propagation pushes stays below
+    the moved mark until the node closes.  Propagation never moves hi,
+    so every variable not labelled has hi = bound: closing the node puts
+    hi_idx back to bound, and the parent's undo pops every entry above
+    the parent's mark, the node's own entry for lo_idx among them, which
+    leaves the parent's fixpoint."""
     n = p.n
     bound = p.bound
     box = _Box(p, [0] * n, [bound] * n)
     lo, hi, sums, fsums, trail = box.lo, box.hi, box.sums, box.fsums, box.trail
-    containing, fcontaining, touched_by = box.containing, box.fcontaining, box.touched_by
+    containing, fcontaining = box.containing, box.fcontaining
+    raised_by, touched_by = box.raised_by, box.touched_by
     values: list[int] = []
     marks: list[int] = []
     queue: Iterable[int] = range(n)
@@ -436,7 +470,8 @@ def _search(
         # test is _check_deadline inlined, since it runs at every node.
         if deadline is not None and perf_counter() > deadline:
             raise SolveTimeout
-        if _propagate_box(box, queue) and not (cut is not None and cut(lo)):
+        failed = not _propagate_box(box, queue) or (cut is not None and cut(lo))
+        if not failed:
             idx = len(values)
             if idx == n:
                 yield tuple(lo)
@@ -456,6 +491,32 @@ def _search(
                 for s in containing[j]:
                     sums[s] -= d
             val = values[idx]
+            if failed and val <= bound:
+                # The right branch: the child val - 1 failed, so enter the
+                # box x_idx >= val, which holds every later child.
+                failed = False
+                d = val - lo[idx]
+                lo[idx] = val
+                for s in containing[idx]:
+                    sums[s] += d
+                d = bound - hi[idx]
+                hi[idx] = bound
+                for t in fcontaining[idx]:
+                    fsums[t] += d
+                if deadline is not None and perf_counter() > deadline:
+                    raise SolveTimeout
+                if ceiling is not None:
+                    headroom = box.headroom = ceiling() - sum(lo)
+                # Against the node's fixpoint only lo_idx rose, which
+                # moves the floors of raised_by[idx] alone.
+                if headroom >= 0 and (cut is None or not cut(lo)) and _propagate_box(box, raised_by[idx]):
+                    # Later children start from the box's fixpoint.
+                    marks[idx] = len(trail)
+                    val = values[idx] = lo[idx]
+                else:
+                    # Nothing is left to label: undo, then close the node.
+                    values[idx] = bound + 1
+                    continue
             if val <= bound:
                 values[idx] = val + 1
                 d = val - lo[idx]
@@ -474,7 +535,9 @@ def _search(
                     # Seed the child with the rules its label can move.
                     queue = touched_by[idx]
                     break
-            # Close the node; the parent's undo then puts lo_idx back.
+            # Close the node; the parent's undo then puts lo_idx back.  The
+            # parent's last child, this node, had passed its entry.
+            failed = False
             values.pop()
             marks.pop()
             d = bound - hi[idx]
@@ -546,8 +609,11 @@ def pareto_min(
     _check_limit(limit)
     # If v <= u componentwise and v != u, then v precedes u
     # lexicographically, so the search meets every dominator of u before
-    # u: each dominator was yielded into the frontier or cut for lying
-    # above a frontier vector, which then lies below u too.  So u is
+    # u: each dominator was yielded into the frontier or dropped with a
+    # child or a right branch whose lo the cut found above a frontier
+    # vector, which then lies below u too.  (A right branch holds later
+    # children as well, but a cut on its lo drops only vectors above a
+    # frontier vector, so only dominated ones.)  So u is
     # Pareto-minimal exactly when the cut lets it through, the solutions
     # yielded are the frontier, and each is final: the search can stop at
     # the limit.  It runs to one solution at least, which tells a feasible

@@ -220,7 +220,12 @@ class TestQuery:
         # has no argument.
         argv = ["query", "--vector", "-1,0,1", "(f | b)", str(ROOT / "kbs" / "birds.kb")]
         assert main(argv) == 2
-        assert "expected one argument" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "expected one argument" in err
+        assert err.endswith("hint: attach a vector that starts with '-' to its option: --vector=-1,0,1\n")
+        for command in (["check"], ["show-ocf"]):
+            assert main(command + ["--vector", "-1,0,1", str(ROOT / "kbs" / "birds.kb")]) == 2
+            assert "--vector=-1,0,1" in capsys.readouterr().err
 
 
 class TestShowOcf:

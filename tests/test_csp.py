@@ -187,9 +187,11 @@ def assert_sums_fresh(box, p, context):
 def search_checking_nodes(kb, p, compiled, rng, monkeypatch, ceiling=None):
     """Run the search with a random cut, or with a sum ceiling, so that it
     walks random labelling paths and backtracks through its one box, and
-    check every node as it is propagated.  On entry the box must hold its
-    parent's fixpoint with only the labelled variable moved; after
-    propagation its bounds must equal the reference fixpoint.  Every
+    check every node as it is propagated.  On entry a child must hold its
+    parent's fixpoint with only the labelled variable moved, and a right
+    branch, entered after a failed child of the node labelling k, that
+    node's fixpoint with only lo_k raised and hi_k = bound; after
+    propagation the bounds must equal the reference fixpoint.  Every
     stored sum must equal its sum recomputed from the bounds on entry,
     after propagation, and at every cut, which the search also asks right
     after each undo and label.
@@ -201,29 +203,38 @@ def search_checking_nodes(kb, p, compiled, rng, monkeypatch, ceiling=None):
     exists and its sum is at most the ceiling; propagation stops early at
     the other nodes that have a fixpoint.  The sums are also checked each
     time the search asks the ceiling, and once the search is done the box
-    must hold the root's fixpoint again, but for the root's label.
-    Returns the depths of the feasible nodes and the number of early
-    stops."""
+    must hold the root's last fixpoint again, but for the root's label.
+    Returns the depths of the feasible nodes, right branches included,
+    the number of early stops and the number of right branches."""
     n = p.n
     fixpoints = []  # (lo, hi) of the feasible node at each depth on the path
     depths = []
     boxes = []
     limit = ceiling
-    stops = 0
+    stops = rights = 0
 
     def checking(box, queue):
-        nonlocal stops
+        nonlocal stops, rights
         boxes.append(box)
         # The root queues every rule, a child the rules that mention the
-        # variable it labelled.
+        # variable it labelled, a right branch the rules whose V-signatures
+        # mention the variable whose lo it raised.  A right branch replaces
+        # its node's fixpoint when it holds.
         if isinstance(queue, range):
             depth, want_lo, want_hi = 0, [0] * n, [p.bound] * n
-        else:
+        elif any(rules is queue for rules in box.touched_by):
             k = next(j for j, rules in enumerate(box.touched_by) if rules is queue)
             depth = k + 1
             want_lo, want_hi = (list(b) for b in fixpoints[k])
             assert want_lo[k] <= box.lo[k] == box.hi[k] <= want_hi[k], render_kb(kb)
             want_lo[k] = want_hi[k] = box.lo[k]
+        else:
+            k = next(j for j, rules in enumerate(box.raised_by) if rules is queue)
+            depth = k
+            rights += 1
+            want_lo, want_hi = (list(b) for b in fixpoints[k])
+            assert want_lo[k] < box.lo[k] <= box.hi[k] == want_hi[k] == p.bound, render_kb(kb)
+            want_lo[k] = box.lo[k]
         assert (box.lo, box.hi) == (want_lo, want_hi), render_kb(kb)
         assert_sums_fresh(box, p, render_kb(kb))
         want = propagate_ref(kb, box.lo, box.hi, compiled)
@@ -262,7 +273,7 @@ def search_checking_nodes(kb, p, compiled, rng, monkeypatch, ceiling=None):
         box, (lo, hi) = boxes[0], fixpoints[0]
         assert (box.lo[1:], box.hi) == (lo[1:], hi), render_kb(kb)
         assert_sums_fresh(box, p, render_kb(kb))
-    return depths, stops
+    return depths, stops, rights
 
 
 class TestPropagate:
@@ -298,14 +309,15 @@ class TestPropagate:
         kbs = [parse_kb(random_kb_text(rng, 4, 6)) for _ in range(150)]
         kbs += [gen_synthetic(n, j) for n in range(2, 9) for j in (0, 2) if j <= 2 * n - 2]
         walks = random.Random(4713)
-        deep_nodes = 0
+        deep_nodes = rights = 0
         for kb in kbs:
             p = build_problem(kb)
             compiled = compile_ref(kb)
             touched_by = _Box(p, [0] * p.n, [p.bound] * p.n).touched_by
             # Carried state: labelling paths with backtracks through one box.
-            depths, _ = search_checking_nodes(kb, p, compiled, walks, monkeypatch)
+            depths, _, right = search_checking_nodes(kb, p, compiled, walks, monkeypatch)
             deep_nodes += sum(d >= 3 for d in depths)
+            rights += right
             for _ in range(6 if kb.m <= 5 else 3):
                 k = rng.randint(0, p.n)
                 prefix = [rng.randint(0, p.bound) for _ in range(k)]
@@ -330,6 +342,7 @@ class TestPropagate:
                 if feasible:
                     assert got == want, (render_kb(kb), lo, hi)
         assert deep_nodes >= 100
+        assert rights >= 40
 
     def test_ceiling_stops_match_reference(self, monkeypatch):
         # Searches with a sum ceiling, which propagation checks as it
@@ -337,24 +350,29 @@ class TestPropagate:
         # undoing them must give back the parent's fixpoint and fresh sums,
         # which the next node's entry and the final box check.  The
         # ceilings start around the minimal sum, where the stops are.
+        # Each KB is walked at two ceilings: right branches close the
+        # later children of a node, which stopped early one by one before.
         rng = random.Random(4721)
         walks = random.Random(4722)
         kbs = [parse_kb(random_kb_text(rng, 4, 6)) for _ in range(100)]
         kbs += [gen_synthetic(n, j) for n in range(2, 8) for j in (0, 2) if j <= 2 * n - 2]
-        stops = deep_nodes = 0
+        stops = deep_nodes = rights = 0
         for kb in kbs:
             p = build_problem(kb)
-            try:
-                ceiling = max(0, all_min_sum(p).minimal_sum + walks.randint(-1, 2))
-            except InfeasibleError:
-                ceiling = walks.randint(0, p.n)
-            depths, early = search_checking_nodes(
-                kb, p, compile_ref(kb), walks, monkeypatch, ceiling
-            )
-            stops += early
-            deep_nodes += sum(d >= 3 for d in depths)
+            for _ in range(2):
+                try:
+                    ceiling = max(0, all_min_sum(p).minimal_sum + walks.randint(-1, 2))
+                except InfeasibleError:
+                    ceiling = walks.randint(0, p.n)
+                depths, early, right = search_checking_nodes(
+                    kb, p, compile_ref(kb), walks, monkeypatch, ceiling
+                )
+                stops += early
+                rights += right
+                deep_nodes += sum(d >= 3 for d in depths)
         assert stops >= 100
         assert deep_nodes >= 50
+        assert rights >= 50
 
 
 class TestNodeCounts:
@@ -365,17 +383,18 @@ class TestNodeCounts:
     @pytest.mark.parametrize(
         "solver, n, nodes",
         [
-            (all_min_sum, 9, 244),
-            (all_min_sum, 10, 407),
-            (all_min_sum, 11, 678),
-            (pareto_min, 6, 785),
-            (pareto_min, 7, 4015),
-            (solve_min_sum, 6, 45),
-            (solve_min_sum, 10, 372),
-            (all_min_sum, 12, 1121),
-            (solve_min_sum, 12, 1036),
+            (all_min_sum, 9, 92),
+            (all_min_sum, 10, 140),
+            (all_min_sum, 11, 211),
+            (pareto_min, 6, 425),
+            (pareto_min, 7, 1669),
+            (pareto_min, 9, 26301),
+            (solve_min_sum, 6, 25),
+            (solve_min_sum, 10, 128),
+            (all_min_sum, 12, 320),
+            (solve_min_sum, 12, 294),
             (enumerate_solutions, 3, 221),
-            (enumerate_solutions, 4, 6527),
+            (enumerate_solutions, 4, 6516),
         ],
     )
     def test_chain_nodes_at_most(self, solver, n, nodes, monkeypatch):
@@ -608,13 +627,28 @@ class TestOcfMin:
 
 
 class TestOracleEquivalence:
-    def test_random_small_kbs(self):
+    def test_random_small_kbs(self, monkeypatch):
+        # Each KB also at a small bound, where more children fail.  Few
+        # children of these random KBs fail at all; those of kb(3,5) and
+        # kb(4,6) at bound 3 do, and there right branches close nodes.
+        closed = 0
+
+        def counting(box, queue):
+            nonlocal closed
+            feasible = _propagate_box(box, queue)
+            closed += not feasible and any(rules is queue for rules in box.raised_by)
+            return feasible
+
+        monkeypatch.setattr(csp, "_propagate_box", counting)
         rng = random.Random(20250809)
-        checked = 0
+        inputs = []
         for _ in range(40):
             kb = parse_kb(random_kb_text(rng))
-            problem = build_problem(kb)
-            oracle = brute_solutions(kb)
+            inputs += [(kb, None), (kb, 1)]
+        inputs += [(gen_synthetic(3), 3), (gen_synthetic(4, 1), 3)]
+        for kb, bound in inputs:
+            problem = build_problem(kb, bound=bound)
+            oracle = brute_solutions(kb, bound)
             assert list(enumerate_solutions(problem).vectors) == oracle
             if oracle:
                 best = min(sum(v) for v in oracle)
@@ -622,11 +656,12 @@ class TestOracleEquivalence:
                 assert list(all_min_sum(problem).vectors) == minima
                 assert solve_min_sum(problem) == (best, minima[0])
                 assert list(pareto_min(problem).vectors) == non_dominated_ref(oracle)
+                assert list(ocf_min(problem).vectors) == ocf_min_ref(kb, bound)
             else:
-                with pytest.raises(InfeasibleError):
-                    all_min_sum(problem)
-            checked += 1
-        assert checked == 40
+                for solver in (solve_min_sum, all_min_sum, pareto_min, ocf_min):
+                    with pytest.raises(InfeasibleError):
+                        solver(problem)
+        assert closed >= 5
 
     def test_determinism(self, penguins):
         first = enumerate_solutions(build_problem(penguins), limit=20).vectors
