@@ -64,24 +64,28 @@ current lo; so once sum(lo) passes the ceiling, no wanted solution lies
 under the node.  A node stopped early is one that propagating to the
 fixpoint and then cutting on sum(lo) would have dropped, or that would
 have failed, so the same nodes are visited and the same solutions found.
-The trail entries an early stop leaves are taken back by the undo to the
-node's mark, as after a domain wipe-out.  ``check_solution`` propagates a
+The trail entries an early stop leaves are taken back by the next undo,
+as after a domain wipe-out.  ``check_solution`` propagates a
 box of one point.
 
-A node labels its variable x with ascending values, and after a child
-x = v fails, by a domain wipe-out, the ceiling's early stop or the cut,
-it propagates the right branch x >= v + 1 before it labels v + 1, as
-CLP(FD) labelling propagates x != v.  That is sound.  The box x >= v + 1
-under the node holds every later child and every solution under them.
-Its least fixpoint is below all of those solutions, so when propagating
-the box fails, no later child holds a solution, and the node closes.  A
-cut or ceiling that rejects the box's lo rejects every vector above it,
-so it is final for all the later children too.  When the box holds, the
-later children start from its fixpoint, which is the least fixpoint
-above their own boxes anyway, and the first value left to label is that
-fixpoint's lo of x.  The right branch only drops children without
-solutions and tightens bounds, so the same solutions come out in the
-same lexicographic order.
+Each labelling step is the binary choice of CLP(FD) labelling: a node
+labels its variable x with the least value v left, its fixpoint's lo of
+x, and the other branch is x >= v + 1, as CLP(FD) propagates x != v.
+After an entry below the label x = v fails, by a domain wipe-out, the
+ceiling's early stop or the cut, the search enters that right branch as
+an ordinary node: propagated, asked the cut, then labelled in turn.
+After a solution, or a subtree that closed, it labels v + 1 directly.
+That is sound.  The box x >= v + 1 under the node holds every later
+value and every solution under them.  Its least fixpoint is below all of
+those solutions, so when propagating the box fails, no later value holds
+a solution; that failure is one more failed entry, below the label of
+the variable before x.  A cut or ceiling that rejects a box's lo rejects
+every vector above it, so it is final for all the later values too, and
+so is one that rejects the lo of a direct label.  When the right branch
+holds, its fixpoint is the least above the later values' boxes, and its
+lo of x is the first value left.  Right branches only drop values
+without solutions and tighten bounds, so the same solutions come out in
+the same lexicographic order.
 
 A CRProblem is immutable after build; each solve call builds its own box
 and trail, so concurrent solves on one problem are safe.
@@ -297,9 +301,9 @@ class _Box:
     whose fresh value it moves: a move of lo_j to the sums of
     ``containing[j]``, a move of hi_j to those of ``fcontaining[j]``.
     Propagation only raises lo, so hi, and with it every F-sum, moves
-    only where the search labels a variable, where it takes that label
-    back and where it enters a right branch, which puts hi of the node's
-    variable back to the bound.  A trail entry ``(j, lo_j)`` holds a
+    only where the search labels a variable, setting hi_j to the label,
+    and where it puts hi_j back to the bound: when the node closes or
+    gives way to its right branch.  A trail entry ``(j, lo_j)`` holds a
     value of lo_j to put back: undo restores it and subtracts the
     difference, the current lo_j less the old, from the sums of
     ``containing[j]``.  Undo pops the trail down
@@ -428,61 +432,67 @@ def _search(
     after it.  The cut and the ceiling are asked again at each node, so
     they may tighten as the caller consumes solutions.
 
-    After a child x_idx = v fails, at entry, the node first enters the
-    right branch x_idx >= v + 1 (module docstring): it puts hi_idx back to
-    bound, raises lo_idx to v + 1, tests the deadline, asks the ceiling
-    and the cut and propagates.  Against the node's fixpoint only lo_idx
-    rose, so only the rules of ``raised_by[idx]`` are queued.  If the box
-    fails, the node closes, since every later value lies inside it;
-    otherwise the node's mark moves above the box's fixpoint and the next
-    value is its lo_idx.  After a child that passed its entry, the next
-    value is labelled at once.  One flag, whether the last child entered
-    failed, carries this between nodes.
+    Every node, the root, a label and a right branch alike, is entered by
+    one piece of code: it tests the deadline, stores the headroom
+    ceiling() - sum(lo) on the box, propagates from the rules queued and
+    asks the cut on the fixpoint.  A node that holds pushes a trail entry
+    for lo_idx and then its mark, and labels x_idx = lo_idx: it sets
+    hi_idx to lo_idx and queues the rules of ``touched_by[idx]``.
 
-    One box serves the whole search.  The open nodes form a stack: the
-    node at depth idx labels variable idx, and keeps the next value to try
-    and its mark.  When its propagation succeeds, the node pushes lo_idx
-    on the trail and takes the trail length as its mark.  Its children
-    move lo_idx and hi_idx straight from one label to the next, off the
-    trail, and undoing to the mark before each child takes back only the
-    previous child's propagation, which never moves a labelled variable;
-    no bounds are copied per child.  A right branch moves lo_idx and
-    hi_idx off the trail too, and what its propagation pushes stays below
-    the moved mark until the node closes.  Propagation never moves hi,
-    so every variable not labelled has hi = bound: closing the node puts
-    hi_idx back to bound, and the parent's undo pops every entry above
-    the parent's mark, the node's own entry for lo_idx among them, which
-    leaves the parent's fixpoint."""
+    After a failed entry or a solution, the search goes back to the
+    deepest label, undoes to its mark and reads the label's value v from
+    hi_idx.  After a failed entry, of any kind, it closes the node (puts
+    hi_idx back to bound and pops the mark), raises lo_idx to v + 1 and
+    enters that right branch with the rules of ``raised_by[idx]`` queued,
+    since against the node's fixpoint only lo_idx rose.  After a solution
+    or a closed node, it labels v + 1 directly and asks the ceiling and
+    the cut on the raised lo; a rejection closes the node, and so does
+    v = bound either way.
+
+    One box serves the whole search, and the open nodes form a stack of
+    marks: the node at depth idx labels variable idx.  Labels move lo_idx
+    and hi_idx off the trail, so undoing to the mark takes back only the
+    last child's propagation, which never moves a labelled variable; no
+    bounds are copied per child.  A right branch moves lo_idx off the
+    trail too, after its node's mark is popped, so what it pushes stays
+    on the trail until the parent's undo.  Propagation never moves hi, so
+    every variable not labelled has hi = bound, and the parent's undo
+    pops every entry above the parent's mark, the node's own entries for
+    lo_idx among them, which leaves the parent's fixpoint."""
     n = p.n
     bound = p.bound
     box = _Box(p, [0] * n, [bound] * n)
     lo, hi, sums, fsums, trail = box.lo, box.hi, box.sums, box.fsums, box.trail
     containing, fcontaining = box.containing, box.fcontaining
     raised_by, touched_by = box.raised_by, box.touched_by
-    values: list[int] = []
     marks: list[int] = []
     queue: Iterable[int] = range(n)
-    if ceiling is not None:
-        box.headroom = ceiling()  # sum(lo) is 0 at the root
     headroom = box.headroom
     while True:
-        # Enter a node: the root, or the child just labelled.  The deadline
+        # Enter a node: the root, a label or a right branch.  The deadline
         # test is _check_deadline inlined, since it runs at every node.
         if deadline is not None and perf_counter() > deadline:
             raise SolveTimeout
-        failed = not _propagate_box(box, queue) or (cut is not None and cut(lo))
+        if ceiling is not None:
+            headroom = box.headroom = ceiling() - sum(lo)
+        failed = headroom < 0 or not _propagate_box(box, queue) or (cut is not None and cut(lo))
         if not failed:
-            idx = len(values)
-            if idx == n:
-                yield tuple(lo)
-            else:
-                values.append(lo[idx])
+            idx = len(marks)
+            if idx < n:
+                # Label x_idx = lo_idx; the parent's undo puts lo_idx back
+                # through the entry below the mark.
                 trail.append((idx, lo[idx]))
                 marks.append(len(trail))
-        # Label the next child of the deepest open node, closing the
-        # nodes whose values are used up.
-        while values:
-            idx = len(values) - 1
+                d = lo[idx] - hi[idx]
+                hi[idx] = lo[idx]
+                for t in fcontaining[idx]:
+                    fsums[t] += d
+                queue = touched_by[idx]
+                continue
+            yield tuple(lo)
+        # Go back to the deepest label, x_idx = v with v = hi_idx.
+        while marks:
+            idx = len(marks) - 1
             mark = marks[idx]
             while len(trail) > mark:
                 j, lo_j = trail.pop()
@@ -490,60 +500,35 @@ def _search(
                 lo[j] = lo_j
                 for s in containing[j]:
                     sums[s] -= d
-            val = values[idx]
-            if failed and val <= bound:
-                # The right branch: the child val - 1 failed, so enter the
-                # box x_idx >= val, which holds every later child.
-                failed = False
-                d = val - lo[idx]
-                lo[idx] = val
-                for s in containing[idx]:
-                    sums[s] += d
-                d = bound - hi[idx]
-                hi[idx] = bound
-                for t in fcontaining[idx]:
-                    fsums[t] += d
-                if deadline is not None and perf_counter() > deadline:
-                    raise SolveTimeout
-                if ceiling is not None:
-                    headroom = box.headroom = ceiling() - sum(lo)
-                # Against the node's fixpoint only lo_idx rose, which
-                # moves the floors of raised_by[idx] alone.
-                if headroom >= 0 and (cut is None or not cut(lo)) and _propagate_box(box, raised_by[idx]):
-                    # Later children start from the box's fixpoint.
-                    marks[idx] = len(trail)
-                    val = values[idx] = lo[idx]
-                else:
-                    # Nothing is left to label: undo, then close the node.
-                    values[idx] = bound + 1
-                    continue
+            val = hi[idx] + 1
             if val <= bound:
-                values[idx] = val + 1
-                d = val - lo[idx]
+                # Both moves raise lo_idx from v to v + 1.
                 lo[idx] = val
                 for s in containing[idx]:
-                    sums[s] += d
-                d = val - hi[idx]
-                hi[idx] = val
-                for t in fcontaining[idx]:
-                    fsums[t] += d
-                # A larger value only raises the bounds, so a cut here is
-                # final; so is a sum of lo above the ceiling.
-                if ceiling is not None:
-                    headroom = box.headroom = ceiling() - sum(lo)
-                if headroom >= 0 and (cut is None or not cut(lo)):
-                    # Seed the child with the rules its label can move.
-                    queue = touched_by[idx]
-                    break
-            # Close the node; the parent's undo then puts lo_idx back.  The
-            # parent's last child, this node, had passed its entry.
-            failed = False
-            values.pop()
+                    sums[s] += 1
+                if not failed:
+                    # Label v + 1.  A larger value only raises the bounds,
+                    # so a cut here is final; so is a sum of lo above the
+                    # ceiling.
+                    hi[idx] = val
+                    for t in fcontaining[idx]:
+                        fsums[t] += 1
+                    if (ceiling is None or ceiling() >= sum(lo)) and (cut is None or not cut(lo)):
+                        queue = touched_by[idx]
+                        break
+            # Close the node; the parent's undo puts lo_idx back.
             marks.pop()
             d = bound - hi[idx]
             hi[idx] = bound
             for t in fcontaining[idx]:
                 fsums[t] += d
+            if failed and val <= bound:
+                # Enter the right branch x_idx >= v + 1, which holds every
+                # later value; against the node's fixpoint only lo_idx rose.
+                queue = raised_by[idx]
+                break
+            # A closed node is no failed entry: its parent labels directly.
+            failed = False
         else:
             return
 
@@ -610,10 +595,10 @@ def pareto_min(
     # If v <= u componentwise and v != u, then v precedes u
     # lexicographically, so the search meets every dominator of u before
     # u: each dominator was yielded into the frontier or dropped with a
-    # child or a right branch whose lo the cut found above a frontier
-    # vector, which then lies below u too.  (A right branch holds later
-    # children as well, but a cut on its lo drops only vectors above a
-    # frontier vector, so only dominated ones.)  So u is
+    # node whose lo the cut found above a frontier vector, which then lies
+    # below u too.  (A right branch, or a label whose rejection closes its
+    # node, drops later values as well, but all of them lie above the lo
+    # the cut rejected, so they are dominated too.)  So u is
     # Pareto-minimal exactly when the cut lets it through, the solutions
     # yielded are the frontier, and each is final: the search can stop at
     # the limit.  It runs to one solution at least, which tells a feasible

@@ -189,8 +189,9 @@ def search_checking_nodes(kb, p, compiled, rng, monkeypatch, ceiling=None):
     walks random labelling paths and backtracks through its one box, and
     check every node as it is propagated.  On entry a child must hold its
     parent's fixpoint with only the labelled variable moved, and a right
-    branch, entered after a failed child of the node labelling k, that
-    node's fixpoint with only lo_k raised and hi_k = bound; after
+    branch of the node labelling k, entered after a failed entry just
+    below it (a child of k, or a right branch of the node labelling k + 1),
+    that node's fixpoint with only lo_k raised and hi_k = bound; after
     propagation the bounds must equal the reference fixpoint.  Every
     stored sum must equal its sum recomputed from the bounds on entry,
     after propagation, and at every cut, which the search also asks right
@@ -202,10 +203,13 @@ def search_checking_nodes(kb, p, compiled, rng, monkeypatch, ceiling=None):
     A node must then be feasible exactly when the reference fixpoint
     exists and its sum is at most the ceiling; propagation stops early at
     the other nodes that have a fixpoint.  The sums are also checked each
-    time the search asks the ceiling, and once the search is done the box
-    must hold the root's last fixpoint again, but for the root's label.
-    Returns the depths of the feasible nodes, right branches included,
-    the number of early stops and the number of right branches."""
+    time the search asks the ceiling.  Once the search is done, hi must be
+    the bound everywhere, the sums fresh, and unwinding the whole trail
+    must give lo = 0 everywhere: every move of lo left an entry to take
+    back, whether the search ended on a closed root or on a failed right
+    branch of the root.  Returns the depths of the feasible nodes, right
+    branches included, the number of early stops and the number of right
+    branches."""
     n = p.n
     fixpoints = []  # (lo, hi) of the feasible node at each depth on the path
     depths = []
@@ -268,11 +272,13 @@ def search_checking_nodes(kb, p, compiled, rng, monkeypatch, ceiling=None):
                 assert sum(v) <= limit, render_kb(kb)
                 limit = sum(v) - rng.randint(0, 1)
     assert all(box is boxes[0] for box in boxes)
-    if 0 in depths:
-        # The root has no parent to undo its label, so lo_0 keeps its last.
-        box, (lo, hi) = boxes[0], fixpoints[0]
-        assert (box.lo[1:], box.hi) == (lo[1:], hi), render_kb(kb)
-        assert_sums_fresh(box, p, render_kb(kb))
+    box = boxes[0]
+    assert box.hi == [p.bound] * n, render_kb(kb)
+    assert_sums_fresh(box, p, render_kb(kb))
+    lo = box.lo.copy()
+    for j, lo_j in reversed(box.trail):
+        lo[j] = lo_j
+    assert lo == [0] * n, render_kb(kb)
     return depths, stops, rights
 
 
@@ -375,29 +381,33 @@ class TestPropagate:
         assert rights >= 50
 
 
+NODE_COUNTS = [
+    (all_min_sum, 9, 111),
+    (all_min_sum, 10, 171),
+    (all_min_sum, 11, 260),
+    (all_min_sum, 12, 398),
+    (solve_min_sum, 6, 28),
+    (solve_min_sum, 10, 156),
+    (solve_min_sum, 12, 367),
+    (pareto_min, 6, 517),
+    (pareto_min, 7, 2054),
+    (pareto_min, 9, 32776),
+    (enumerate_solutions, 3, 221),
+    (enumerate_solutions, 4, 6522),
+]
+
+
 class TestNodeCounts:
     """One propagator call per search node, counted exactly: a search that
     prunes differently fails, and so does one that stops calling the
-    module's ``_propagate_box`` at every node."""
+    module's ``_propagate_box`` at every node.  The ids name the solver
+    and the KB only, so a change of count keeps the test's name."""
 
     @pytest.mark.parametrize(
         "solver, n, nodes",
-        [
-            (all_min_sum, 9, 92),
-            (all_min_sum, 10, 140),
-            (all_min_sum, 11, 211),
-            (pareto_min, 6, 425),
-            (pareto_min, 7, 1669),
-            (pareto_min, 9, 26301),
-            (solve_min_sum, 6, 25),
-            (solve_min_sum, 10, 128),
-            (all_min_sum, 12, 320),
-            (solve_min_sum, 12, 294),
-            (enumerate_solutions, 3, 221),
-            (enumerate_solutions, 4, 6516),
-        ],
+        [pytest.param(*case, id=f"{case[0].__name__}-{case[1]}") for case in NODE_COUNTS],
     )
-    def test_chain_nodes_at_most(self, solver, n, nodes, monkeypatch):
+    def test_chain_nodes(self, solver, n, nodes, monkeypatch):
         calls = 0
 
         def counting(*args):
@@ -408,6 +418,25 @@ class TestNodeCounts:
         monkeypatch.setattr(csp, "_propagate_box", counting)
         solver(build_problem(gen_synthetic(n)))
         assert calls == nodes
+
+    def test_pareto_cut_seldom_repeats(self, monkeypatch):
+        # The search asks the dominance cut on each node's fixpoint and on
+        # each label it moves to.  Asking it again on the lo it was just
+        # asked on, with nothing raised in between, is wasted work.
+        dominated = csp._dominated
+        calls = repeats = 0
+        last = None
+
+        def counting(frontier, lo):
+            nonlocal calls, repeats, last
+            calls += 1
+            repeats += lo == last
+            last = lo.copy()
+            return dominated(frontier, lo)
+
+        monkeypatch.setattr(csp, "_dominated", counting)
+        pareto_min(build_problem(gen_synthetic(9)))
+        assert repeats < 100, (repeats, calls)
 
 
 class TestEnumerate:
