@@ -24,8 +24,26 @@ whose falsifying set is empty is satisfied by every vector.
 Compilation: every world's falsified-rule set is collapsed into a bitmask
 signature, and for each constraint side only the subset-minimal signatures
 are kept (sums are monotone in the nonnegative variables, so minima are
-attained there); ``_minimal_signatures`` peels them off the distinct
-signatures, sorted once.
+attained there).  One grouped pass gives the candidates of all 2n sides.
+``world_signatures`` of the falsifying sets followed by the verifying sets
+gives each world a key: the rules it falsifies in bits 0..n-1, those it
+verifies in bits n..2n-1.  A set collects the distinct keys, and one loop
+over them ORs the verified rules of each into ver[s], s its signature.
+The distinct signatures, ascending, are ``world_sigs``; over their
+positions in that order, the bitset has[j] holds the signatures that hold
+rule j and vhas[i] those of some world verifying rule i.  Rule i's
+V-candidates are vhas[i]; its F-candidates are has[i], each signature
+with bit i dropped, which keeps their order.  Each side is peeled: keep
+the signature s at the lowest position left, clear the positions of Up(s),
+the signatures that hold s, and repeat.  The kept s is minimal: a proper
+subset of it is a smaller number, so it sat at a lower position and is
+gone, either kept or cleared for holding a kept signature; s holds that
+kept signature too, so it would have been cleared with it.  Up(s) is the
+AND of has[j] over the rules j of s, since a signature holds s exactly
+when it holds each of them (all positions for the empty s); on an F-side
+every candidate holds bit i, so those that hold s with bit i dropped are
+those it leaves.  Past 2**16 worlds the grouped pass runs chunk by chunk,
+so no table of every world's key is held at once.
 
 Compilation runs over only the m' <= m atoms that R's rules mention
 (``worlds.rule_partitions``), so declared atoms that no rule uses do not
@@ -95,20 +113,17 @@ from __future__ import annotations
 
 import enum
 import heapq
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, islice, product
+from itertools import islice, product
 from operator import itemgetter, le
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .kb import KnowledgeBase
-from .worlds import (
-    iter_bits,
-    rule_partitions,
-    selector,
-    world_signatures,
-)
+from .worlds import iter_bits, rule_partitions, world_signatures
 
 KappaVector = tuple[int, ...]
 
@@ -194,21 +209,31 @@ def _check_deadline(deadline: float | None) -> None:
         raise SolveTimeout
 
 
-def _minimal_signatures(masks: list[int], deadline: float | None) -> _SigSet:
-    """Subset-minimal antichain of distinct rule-index bitmasks, as index
-    tuples.  ``masks`` lists every mask after its proper subsets, as
-    ascending numeric order does.  Peel: keep the first mask left, drop it
-    and its supersets, repeat.  The first mask left is minimal: a proper
-    subset of it came earlier and was dropped for holding a kept mask, so
-    the first mask holds that kept mask too and was dropped with it.
-    The deadline is checked before every peel step."""
-    kept: list[int] = []
-    while masks:
-        _check_deadline(deadline)
-        low = masks[0]
-        kept.append(low)
-        masks = [s for s in masks if s & low != low]
-    return tuple(tuple(iter_bits(mask)) for mask in kept)
+# Worlds per chunk of the grouped pass of ``build_problem``, as a power
+# of two: past 2**16 worlds the keys are deduplicated chunk by chunk, so
+# no table of every world's key is held at once.
+_CHUNK = 16
+
+# Per bit k of a byte, the translation of bytes to the ASCII digit of bit k:
+# runs of 2**k zeros and 2**k ones, as bit k runs over the bytes 0..255.
+_DIGIT_OF_BIT = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
+
+
+def _columns(values: list[int], n: int) -> list[int]:
+    """For each bit j < n, the bitset of the positions p with bit j set in
+    values[p], all values below 2**n <= 2**64.  The values are packed as
+    native ints of 1, 2, 4 or 8 bytes, the last position first; byte plane
+    g, one byte per position, is translated to the digits of each of its
+    bits, and the digits are read as one binary int, which puts position 0
+    at bit 0."""
+    width = 1
+    while n > 8 * width:
+        width *= 2
+    packed = array("BHIQ"[width.bit_length() - 1], reversed(values)).tobytes()
+    planes = [packed[g::width] for g in range(width)]
+    if sys.byteorder == "big":
+        planes.reverse()
+    return [int(planes[j >> 3].translate(_DIGIT_OF_BIT[j & 7]), 2) for j in range(n)]
 
 
 def build_problem(
@@ -217,10 +242,9 @@ def build_problem(
     """Compile CR(R): falsification signatures, over the worlds of the
     atoms the rules mention, and the box [0, bound]^n (bound defaults to
     n).  Raises SolveTimeout when the ``perf_counter`` deadline has
-    passed; it is checked after the world-set, signature and sorting
-    passes, before each compiled rule and before every peel step of
-    ``_minimal_signatures``, so compilation overshoots it by at most one
-    such pass."""
+    passed; it is checked after the world-set pass, after each chunk of
+    the grouped pass, after the sort and the columns, and before every
+    peel step, so compilation overshoots it by at most one such step."""
     m, verifying, falsifying = rule_partitions(kb)
     n = kb.n
     if bound is None:
@@ -228,26 +252,58 @@ def build_problem(
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _check_deadline(deadline)
-    world_sigs = world_signatures(falsifying, m)
-    _check_deadline(deadline)
-    order = tuple(sorted(set(world_sigs)))
-    verifying_sigs = []
-    falsifying_sigs = []
-    for i in range(n):
+    # Grouped pass: a world's key holds the rules it falsifies in bits
+    # 0..n-1 and those it verifies in bits n..2n-1; ver[s] ORs the
+    # verified rules of every world whose signature is s.
+    sets = falsifying + verifying
+    full = (1 << n) - 1
+    ver: dict[int, int] = {}
+    get = ver.get
+    step = min(m, _CHUNK)
+    mask = (1 << (1 << step)) - 1
+    for start in range(0, 1 << m, 1 << step):
+        part = sets if step == m else [ws >> start & mask for ws in sets]
+        for key in set(world_signatures(part, step)):
+            s = key & full
+            ver[s] = get(s, 0) | key >> n
         _check_deadline(deadline)
+    order = sorted(ver)
+    _check_deadline(deadline)
+    columns = _columns(order + list(map(ver.__getitem__, order)), n)
+    d = len(order)
+    everything = (1 << d) - 1
+    has = [c & everything for c in columns]
+    vhas = [c >> d for c in columns]
+    _check_deadline(deadline)
+    # Peel each side from its candidate positions, lowest first (see the
+    # module docstring); kept caches each kept signature's rules and Up.
+    kept: dict[int, tuple[tuple[int, ...], int]] = {}
+    sides: tuple[list[_SigSet], list[_SigSet]] = ([], [])
+    for i in range(n):
         bit = 1 << i
-        # A world falsifies rule i exactly when its signature holds bit i;
-        # dropping that common bit from the F-candidates keeps their order.
-        verified = set(compress(world_sigs, selector(verifying[i])))
-        verifying_sigs.append(_minimal_signatures([s for s in order if s in verified], deadline))
-        falsifying_sigs.append(_minimal_signatures([s & ~bit for s in order if s & bit], deadline))
-    return CRProblem(bound, order, tuple(verifying_sigs), tuple(falsifying_sigs))
+        for out, left, drop in ((sides[0], vhas[i], 0), (sides[1], has[i], bit)):
+            sigs = []
+            while left:
+                _check_deadline(deadline)
+                s = order[(left & -left).bit_length() - 1] & ~drop
+                entry = kept.get(s)
+                if entry is None:
+                    idx = tuple(iter_bits(s))
+                    up = everything
+                    for j in idx:
+                        up &= has[j]
+                    entry = kept[s] = idx, up
+                sigs.append(entry[0])
+                left &= ~entry[1]
+            out.append(tuple(sigs))
+    return CRProblem(bound, tuple(order), tuple(sides[0]), tuple(sides[1]))
 
 
 def check_solution(p: CRProblem, v: KappaVector) -> bool:
     """Exact test of the constraint conjunction at vector v: propagation on
     the box of the single point lo = hi = v raises a bound exactly where v
-    violates a constraint, and any raise passes hi, so it fails there."""
+    violates a constraint, and any raise passes hi, so it fails there.
+    The box is a plain ``_Box``: no raise holds, so no rule list is read."""
     n = p.n
     if len(v) != n:
         raise ValueError(f"vector has length {len(v)}, expected {n}")
@@ -276,8 +332,9 @@ def _containing(sigs: Iterable[tuple[int, ...]], n: int) -> list[list[int]]:
 
 
 class _Box:
-    """The bounds of one solve or check, with the sums and occurrence lists
-    that propagation reads and the trail that puts lo back.
+    """The bounds of one check, with the sums that propagation reads and
+    the trail that puts lo back; a search box (``_SearchBox``) adds the
+    rule lists that queue propagation.
 
     ``lo`` and ``hi`` are the bounds.  The distinct V-signatures are
     numbered in order of first occurrence: ``vsig_ids[i]`` lists the
@@ -286,10 +343,7 @@ class _Box:
     F-signatures are numbered apart in the same way: ``fsig_ids[i]``,
     ``fsums[t]``, the sum of ``hi`` over F-signature t, and ``fread[i]``.
     ``containing[j]`` and ``fcontaining[j]`` hold the V- and the
-    F-signatures that mention j, ``raised_by[j]`` the rules whose
-    V-signatures mention j (their floors rise with lo[j]) and
-    ``touched_by[j]`` the rules whose V- or F-signatures mention j (their
-    floors may move when lo[j] rises or hi[j] falls).
+    F-signatures that mention j.
 
     ``headroom`` is how far one propagation call may raise sum(lo) before
     it fails the node (see the module docstring).  It starts at sum(hi)
@@ -327,6 +381,20 @@ class _Box:
         self.fsums = [sum(map(hi.__getitem__, sig)) for sig in fids]
         self.containing = _containing(vids, n)
         self.fcontaining = _containing(fids, n)
+
+
+class _SearchBox(_Box):
+    """A ``_Box`` whose raises can hold, as in a search or a propagation
+    test: ``raised_by[j]`` lists the rules whose V-signatures mention j
+    (their floors rise with lo[j]) and ``touched_by[j]`` the rules whose
+    V- or F-signatures mention j (their floors may move when lo[j] rises
+    or hi[j] falls).  A check's box of one point goes without them: there
+    lo = hi, so every raise fails before ``_propagate_box`` reads
+    ``raised_by``, and nothing there reads ``touched_by``."""
+
+    def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
+        super().__init__(p, lo, hi)
+        n = p.n
         self.raised_by = raised_by = [[] for _ in range(n)]
         self.touched_by = touched_by = [[] for _ in range(n)]
         for i, (vs, fs) in enumerate(zip(p.verifying_sigs, p.falsifying_sigs)):
@@ -392,6 +460,8 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
         floor = 1 + min(read_v(sums)) - min(read_f(fsums))
         if floor > lo[i]:
             d = floor - lo[i]
+            # A check's point box, lo = hi, fails every raise here, so it
+            # needs no ``raised_by``.
             if floor > hi[i] or d > headroom:
                 return False
             headroom -= d
@@ -461,7 +531,7 @@ def _search(
     lo_idx among them, which leaves the parent's fixpoint."""
     n = p.n
     bound = p.bound
-    box = _Box(p, [0] * n, [bound] * n)
+    box = _SearchBox(p, [0] * n, [bound] * n)
     lo, hi, sums, fsums, trail = box.lo, box.hi, box.sums, box.fsums, box.trail
     containing, fcontaining = box.containing, box.fcontaining
     raised_by, touched_by = box.raised_by, box.touched_by

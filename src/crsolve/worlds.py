@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import compress, count, product
+from itertools import compress, count, product, repeat
+from operator import lshift, or_
 from typing import Iterator, Sequence
 
 from .kb import Atom, Conditional, Formula, KnowledgeBase
@@ -148,17 +149,31 @@ def _lane_sums(columns: list[bytes], weights: Sequence[int], m: int) -> tuple[in
 
 
 def world_signatures(sets: Sequence[WorldSet], m: int) -> tuple[int, ...]:
-    """Per world w of 2**m, the bitmask of the indices j with w in sets[j],
-    for at most 64 sets.  The signature columns are interleaved into an
-    array of 1, 2, 4 or 8 bytes per world and read back as native ints."""
+    """Per world w of 2**m, the bitmask of the indices j with w in sets[j].
+    The signature columns are interleaved into an array of 2**k bytes per
+    world, the least that holds them.  Lanes of 1, 2, 4 or 8 bytes are read
+    back as native ints; a wider lane, for more than 64 sets, is read as
+    its 8-byte words, each shifted to its place and OR-ed together in C."""
     columns = _signature_columns(sets, m)
+    if len(columns) == 1:
+        # One column is already the table of 1-byte lanes.
+        return tuple(columns[0])
     width = 1
     while width < len(columns):
         width *= 2
     table = bytearray((1 << m) * width)
+    little = sys.byteorder == "little"
     for g, column in enumerate(columns):
-        table[(g if sys.byteorder == "little" else width - 1 - g) :: width] = column
-    return tuple(memoryview(table).cast("BHIQ"[width.bit_length() - 1]))
+        table[(g if little else width - 1 - g) :: width] = column
+    if width <= 8:
+        return tuple(memoryview(table).cast("BHIQ"[width.bit_length() - 1]))
+    words = memoryview(table).cast("Q")
+    per = width // 8
+    keys: Iterator[int] = iter(words[0 if little else per - 1 :: per])
+    for k in range(1, per):
+        high = words[k if little else per - 1 - k :: per]
+        keys = map(or_, keys, map(lshift, high, repeat(64 * k)))
+    return tuple(keys)
 
 
 def _models(f: Formula, drop: Sequence[int]) -> WorldSet:

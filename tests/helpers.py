@@ -329,6 +329,36 @@ def random_kb_text(rng: random.Random, max_atoms: int = 4, max_rules: int = 3) -
     return "\n".join(lines) + "\n"
 
 
+def many_rules_kb_text(rng: random.Random, m: int, n: int) -> str:
+    """KB text over the first m <= 5 of the atoms a..e with n >= 4 random
+    rules, among them, at random places, one that no world verifies
+    (``bot`` as its consequent), one that no world falsifies (``top`` as
+    its consequent), one over ``top`` alone and one whose antecedent is
+    ``bot``, which no world verifies or falsifies."""
+    names = ["a", "b", "c", "d", "e"][:m]
+    rules = [
+        f"({random_formula_text(rng, names)} | {random_formula_text(rng, names)})"
+        for _ in range(n - 4)
+    ]
+    for rule in (
+        f"(bot | {random_formula_text(rng, names)})",
+        f"(top | {random_formula_text(rng, names)})",
+        "(top | top)",
+        f"({random_formula_text(rng, names)} | bot)",
+    ):
+        rules.insert(rng.randint(0, len(rules)), rule)
+    return "vars: " + ", ".join(names) + "\n" + "".join(f"rule: {r}\n" for r in rules)
+
+
+def world_sigs_ref(kb: KnowledgeBase) -> tuple[int, ...]:
+    """The distinct falsification signatures over every world of the KB,
+    ascending: bit j of a world's signature is set when the world
+    falsifies rule j.  Built world by world from ``partitions_ref``."""
+    _, falsifying = partitions_ref(kb)
+    fsets = [set(ws) for ws in falsifying]
+    return tuple(sorted({sum(1 << j for j in range(kb.n) if w in fsets[j]) for w in range(1 << kb.m)}))
+
+
 def with_unused_atoms(text: str, rng: random.Random, count: int) -> str:
     """KB text with ``count`` atoms that no rule mentions, u0, u1, ...,
     inserted at random places of its ``vars:`` line."""

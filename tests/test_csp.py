@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from time import perf_counter
@@ -20,7 +21,8 @@ from crsolve import (
     solve_min_sum,
 )
 from crsolve import csp
-from crsolve.csp import _Box, _propagate_box
+from crsolve.csp import _SearchBox, _propagate_box
+from crsolve.worlds import rule_partitions, world_signatures
 
 from tests.helpers import (
     BIRDS_TEXT,
@@ -28,18 +30,22 @@ from tests.helpers import (
     check_ref,
     compile_ref,
     falsified_sum,
+    many_rules_kb_text,
     minimal_sigs_ref,
     non_dominated_ref,
     ocf_min_ref,
-    partitions_ref,
     propagate_ref,
     random_kb_text,
     with_unused_atoms,
+    world_sigs_ref,
 )
 
 CONTRADICTORY_TEXT = "vars: a\nrule: (a | top)\nrule: (!a | top)\n"
 DEGENERATE_TEXT = "vars: a\nrule: (a | bot)\n"
 EMPTY_TEXT = "vars: a\n"
+# SHA-256 of repr(build_problem(gen_synthetic(17, 0))), recorded from the
+# compile that filtered each rule's candidates from the sorted signatures.
+KB17_SHA256 = "f30e2a2d64ed876e1466c5d325c51370d2b3d7a1349ca3a906cc168ce0dc150b"
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +93,30 @@ class TestMinimalSignatures:
                 assert set(got) == want, render_kb(kb)
                 # An antichain: no member is contained in another.
                 assert not any(a != b and set(a) <= set(b) for a in got for b in got)
+
+    def test_antichains_past_64_key_bits(self):
+        # 33 to 64 rules: a world's key, the rules it falsifies and those
+        # it verifies, takes 66 to 128 bits.
+        rng = random.Random(6464)
+        for _ in range(30):
+            kb = parse_kb(many_rules_kb_text(rng, rng.randint(1, 5), rng.randint(33, 64)))
+            problem = build_problem(kb)
+            ref_v, ref_f = minimal_sigs_ref(kb)
+            assert [set(s) for s in problem.verifying_sigs] == ref_v, render_kb(kb)
+            assert [set(s) for s in problem.falsifying_sigs] == ref_f, render_kb(kb)
+            assert problem.world_sigs == world_sigs_ref(kb), render_kb(kb)
+
+    def test_kb17_matches_recorded_compile(self):
+        # kb(17,33) is the first chain whose key passes 64 bits, and its
+        # 2**18 worlds are grouped in four chunks.  Its world signatures
+        # must be those of the falsifying sets alone, 33 sets in one lane
+        # of 8 bytes, and the whole problem the one that the compile with
+        # a candidate filter per rule gave (SHA-256 of its repr).
+        kb = gen_synthetic(17, 0)
+        problem = build_problem(kb)
+        m, _, falsifying = rule_partitions(kb)
+        assert problem.world_sigs == tuple(sorted(set(world_signatures(falsifying, m))))
+        assert hashlib.sha256(repr(problem).encode()).hexdigest() == KB17_SHA256
 
 
 class TestFalsifiedSum:
@@ -167,7 +197,7 @@ class TestCheckSolution:
 def propagate_box(p, lo=None, hi=None, queue=None):
     """(feasible, lo, hi) after propagating the box, or the given bounds,
     from every rule queued or only from ``queue``."""
-    box = _Box(p, [0] * p.n if lo is None else lo, [p.bound] * p.n if hi is None else hi)
+    box = _SearchBox(p, [0] * p.n if lo is None else lo, [p.bound] * p.n if hi is None else hi)
     queue = range(p.n) if queue is None else queue
     return _propagate_box(box, queue), box.lo, box.hi
 
@@ -319,7 +349,7 @@ class TestPropagate:
         for kb in kbs:
             p = build_problem(kb)
             compiled = compile_ref(kb)
-            touched_by = _Box(p, [0] * p.n, [p.bound] * p.n).touched_by
+            touched_by = _SearchBox(p, [0] * p.n, [p.bound] * p.n).touched_by
             # Carried state: labelling paths with backtracks through one box.
             depths, _, right = search_checking_nodes(kb, p, compiled, walks, monkeypatch)
             deep_nodes += sum(d >= 3 for d in depths)
@@ -735,10 +765,7 @@ class TestUnusedAtoms:
             ref_v, ref_f = minimal_sigs_ref(kb)
             assert [set(s) for s in p.verifying_sigs] == ref_v, padded
             assert [set(s) for s in p.falsifying_sigs] == ref_f, padded
-            _, falsifying = partitions_ref(kb)
-            fsets = [set(ws) for ws in falsifying]
-            sigs = {sum(1 << j for j in range(kb.n) if w in fsets[j]) for w in range(1 << kb.m)}
-            assert p.world_sigs == tuple(sorted(sigs))
+            assert p.world_sigs == world_sigs_ref(kb)
             assert self.answers(p) == self.answers(q), padded
             oracle = brute_solutions(kb)
             assert list(enumerate_solutions(p).vectors) == oracle, padded
@@ -810,21 +837,23 @@ class TestDeadline:
             build_problem(birds, deadline=perf_counter() - 1.0)
 
     def test_deadline_stops_last_peel(self, birds, monkeypatch):
-        # The clock passes the deadline inside the last of the 2n calls,
-        # after every check between rules has been made.
-        now = [0.0]
-        monkeypatch.setattr(csp, "perf_counter", lambda: now[0])
-        calls = itertools.count(1)
-        peel = csp._minimal_signatures
-
-        def late_peel(masks, *args):
-            if next(calls) == 2 * birds.n:
-                now[0] = 2.0
-            return peel(masks, *args)
-
-        monkeypatch.setattr(csp, "_minimal_signatures", late_peel)
+        # Clock read k returns k.  An unbounded compile makes some number
+        # of reads; with the deadline one below it, only the last read
+        # passes it.  Compilation peels the F-side of the last rule last,
+        # and that side is not empty, so the last read is the test before
+        # its last peel step, after every pass and every other rule.
+        ticks = itertools.count(1)
+        monkeypatch.setattr(csp, "perf_counter", lambda: next(ticks))
+        p = build_problem(birds, deadline=float("inf"))
+        reads = next(ticks) - 1
+        # One read before each peel step, which keeps one signature.
+        assert reads > sum(map(len, p.verifying_sigs + p.falsifying_sigs))
+        assert p.falsifying_sigs[-1]
+        ticks = itertools.count(1)
+        assert build_problem(birds, deadline=reads) == p
+        ticks = itertools.count(1)
         with pytest.raises(SolveTimeout):
-            build_problem(birds, deadline=1.0)
+            build_problem(birds, deadline=reads - 1)
 
     def test_deadline_stops_free_rule_expansion(self, monkeypatch):
         # No world falsifies these rules, so ocf_min expands each frontier

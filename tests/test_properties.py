@@ -21,7 +21,7 @@ from crsolve import (
     render_kb,
     render_table,
 )
-from crsolve.csp import _Box, _propagate_box
+from crsolve.csp import _SearchBox, _propagate_box
 from crsolve.ocf import json_chunks, table_chunks
 from crsolve.worlds import iter_bits, selector, world_signatures, world_sums
 
@@ -110,13 +110,13 @@ def test_conjunction_is_intersection_of_world_sets(args):
 @given(kb_texts())
 def test_propagate_shrinks_and_is_idempotent(text):
     problem = build_problem(parse_kb(text))
-    box = _Box(problem, [0] * problem.n, [problem.bound] * problem.n)
+    box = _SearchBox(problem, [0] * problem.n, [problem.bound] * problem.n)
     lo, hi = box.lo, box.hi
     feasible = _propagate_box(box, range(problem.n))
     assert all(x >= 0 for x in lo)
     assert all(x <= problem.bound for x in hi)
     if feasible:
-        box2 = _Box(problem, lo, hi)
+        box2 = _SearchBox(problem, lo, hi)
         lo2, hi2 = box2.lo, box2.hi
         assert _propagate_box(box2, range(problem.n))
         assert (lo2, hi2) == (lo, hi)
@@ -194,11 +194,26 @@ def test_scan_matches_per_bit_test(x):
     assert [w for w, flag in enumerate(sel) if flag] == positions
 
 
+def _random_sets(m, count, seed):
+    rng = random.Random(seed)
+    return m, [rng.getrandbits(2**m) for _ in range(count)]
+
+
+# Up to 130 sets: past 64 a world's lane is wider than 8 bytes and is read
+# as joined words.
 @given(
-    st.integers(0, 6).flatmap(
-        lambda m: st.tuples(st.just(m), st.lists(st.integers(0, 2 ** (2**m) - 1), max_size=64))
+    st.tuples(st.integers(0, 6), st.integers(0, 130)).flatmap(
+        lambda mk: st.tuples(
+            st.just(mk[0]),
+            st.lists(st.integers(0, 2 ** (2 ** mk[0]) - 1), min_size=mk[1], max_size=mk[1]),
+        )
     )
 )
+@example(_random_sets(6, 64, 1))
+@example(_random_sets(6, 65, 2))
+@example(_random_sets(5, 128, 3))
+@example(_random_sets(0, 129, 4))
+@example((3, [255] * 130))
 def test_world_signatures_match_per_bit_test(args):
     m, sets = args
     expected = [
