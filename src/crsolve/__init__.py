@@ -18,6 +18,7 @@ from .csp import (
     build_problem,
     check_solution,
     enumerate_solutions,
+    iter_solutions,
     ocf_min,
     pareto_min,
     solve_min_sum,
@@ -79,6 +80,7 @@ __all__ = [
     "enumerate_solutions",
     "gen_synthetic",
     "induced_ocf",
+    "iter_solutions",
     "ocf_min",
     "parse_conditional",
     "parse_kb",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when no solution exists within the search box
 (or a checked vector is not a solution), 2 on usage, file, or syntax
-errors, 3 when ``solve --timeout`` expires.  Results go to standard output,
+errors, 3 when ``--timeout`` expires, 141 when the reader closes standard
+output early (as ``| head`` does).  Results go to standard output,
 diagnostics to standard error.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -25,6 +27,7 @@ from .csp import (
     build_problem,
     check_solution,
     enumerate_solutions,
+    iter_solutions,
     ocf_min,
     pareto_min,
     solve_min_sum,
@@ -51,16 +54,31 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _deadline(args: argparse.Namespace) -> float | None:
+    """The ``perf_counter`` deadline of ``--timeout``, or None without it."""
+    if args.timeout is None:
+        return None
+    if not args.timeout > 0:
+        raise ValueError(f"--timeout must be positive, got {args.timeout}")
+    return perf_counter() + args.timeout
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be positive, got {args.limit}")
-    deadline = None
-    if args.timeout is not None:
-        if not args.timeout > 0:
-            raise ValueError(f"--timeout must be positive, got {args.timeout}")
-        deadline = perf_counter() + args.timeout
+    deadline = _deadline(args)
     kb = _load_kb(args.file)
     problem = build_problem(kb, bound=args.bound, deadline=deadline)
+    if args.mode == "all" and not args.json:
+        # Each line is written as the search finds its vector, so the
+        # listing is never held; a timeout keeps the lines written so far.
+        found = False
+        for v in iter_solutions(problem, limit=args.limit, deadline=deadline):
+            print(" ".join(map(str, v)))
+            found = True
+        if not found:
+            raise InfeasibleError(problem.bound, problem.degenerate_rules)
+        return 0
     if args.mode == "all":
         result = enumerate_solutions(problem, limit=args.limit, deadline=deadline)
     elif args.mode == "min":
@@ -84,12 +102,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    deadline = _deadline(args)
     kb = _load_kb(args.file)
     conditional = parse_conditional(args.conditional, kb.atoms)
     if args.vector is not None:
         vectors = (_parse_vector(args.vector),)
     else:
-        vectors = all_min_sum(build_problem(kb)).vectors
+        vectors = all_min_sum(build_problem(kb, deadline=deadline), deadline=deadline).vectors
         if len(vectors) > 1:
             print(
                 f"note: {len(vectors)} sum-minimal solutions exist; deciding over all of them",
@@ -118,8 +137,9 @@ def _cmd_show_ocf(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    deadline = _deadline(args)
     kb = _load_kb(args.file)
-    problem = build_problem(kb)
+    problem = build_problem(kb, deadline=deadline)
     if check_solution(problem, _parse_vector(args.vector)):
         print("valid")
         return 0
@@ -140,6 +160,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_timeout(parser: argparse.ArgumentParser, checked: str) -> None:
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=f"give up after SECONDS (exit 3); checked after {checked}",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crsolve",
@@ -151,12 +181,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", required=True, choices=["all", "min", "min-all", "pareto", "ocf-min"])
     solve.add_argument("--limit", type=int, default=None, help="truncate the listing")
     solve.add_argument("--bound", type=int, default=None, help="override the per-variable upper bound")
-    solve.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="give up after SECONDS (exit 3); checked after every compile pass and peel step, at every search node and expanded vector",
+    _add_timeout(
+        solve,
+        "every compile pass and peel step, at every search node, every 1,024 vectors"
+        " of a box that mode all yields whole and every vector ocf-min expands",
     )
     solve.add_argument("--json", action="store_true")
     solve.add_argument("file")
@@ -166,6 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = query.add_mutually_exclusive_group(required=True)
     source.add_argument("--min", action="store_true", help="decide over every sum-minimal solution")
     source.add_argument("--vector", help="comma-separated solution vector")
+    _add_timeout(query, "every compile pass and peel step and at every node of the --min search")
     query.add_argument("conditional", help='query conditional, e.g. "(w | k)"')
     query.add_argument("file")
     query.set_defaults(func=_cmd_query, vector=None)
@@ -178,6 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="verify a vector against the constraints")
     check.add_argument("--vector", required=True)
+    _add_timeout(check, "every compile pass and peel step")
     check.add_argument("file")
     check.set_defaults(func=_cmd_check)
 
@@ -219,6 +249,11 @@ def main(argv: list[str] | None = None) -> int:
     except SolveTimeout:
         print("error: timed out", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed standard output.  Point it at devnull, so that
+        # the flush at exit does not fail again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: file not found", file=sys.stderr)
         return 2

@@ -105,6 +105,35 @@ lo of x is the first value left.  Right branches only drop values
 without solutions and tighten bounds, so the same solutions come out in
 the same lexicographic order.
 
+A search with neither a cut nor a ceiling, mode ``all``, stops labelling
+where a node's box holds nothing but solutions.  Rule i is entailed on
+the box [lo, hi] when lo_i + min_sig(F_i, lo) > min_sig(V_i, hi), a
+minimum over no signature being infinite.  That is sound: every v in the
+box has v_i >= lo_i, each F-sum of v is at least its sum at lo and each
+V-sum at most its sum at hi, since the variables are nonnegative and lo
+<= v <= hi, so v_i + min_sig(F_i, v) > min_sig(V_i, v), constraint i at
+v.  A rule with no F-signature holds at every vector.  At depth d the
+variables before d are labelled, lo = hi there, so a rule whose
+signatures mention only those reads the same sums at lo and at hi, and
+the node's fixpoint, lo_i >= 1 + min_sig(V_i, lo) - min_sig(F_i, hi), is
+the test itself: only rules that mention a variable at d or past it can
+fail.  A rule whose F-antichain is the empty signature alone is tested as
+lo_i > min_sig(V_i, hi); while each of its V-signatures holds a variable
+at d or past it, whose hi is the bound, the right side is at least the
+bound >= lo_i, so the search tests no depth up to the least of their
+largest variables.  When every rule is entailed, every vector of the box
+is a solution, and every solution under the node lies in the box, so the
+node's solutions are the product of the ranges [lo_j, hi_j].
+``itertools.product`` runs it with the labelled prefix fixed and the rest
+ascending, the last component fastest: the lexicographic order in which
+labelling meets them.  The search then goes back as after a closed
+subtree.  Under a cut or a ceiling the test is skipped.  There lo is the
+only wanted vector of an entailed box: every other one lies above lo, so
+its sum is larger, which the ceiling excludes once lo is found, and the
+Pareto cut rejects it once lo is in the frontier.  Labelling reaches lo
+at once, since no rule raises a bound of an entailed box, so those
+solvers keep their nodes.
+
 A CRProblem is immutable after build; each solve call builds its own box
 and trail, so concurrent solves on one problem are safe.
 """
@@ -117,6 +146,7 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, product
 from operator import itemgetter, le
 from time import perf_counter
@@ -219,13 +249,14 @@ _CHUNK = 16
 _DIGIT_OF_BIT = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
 
 
-def _columns(values: list[int], n: int) -> list[int]:
+def _columns(values: list[int], n: int, deadline: float | None = None) -> list[int]:
     """For each bit j < n, the bitset of the positions p with bit j set in
     values[p], all values below 2**n <= 2**64.  The values are packed as
     native ints of 1, 2, 4 or 8 bytes, the last position first; byte plane
     g, one byte per position, is translated to the digits of each of its
     bits, and the digits are read as one binary int, which puts position 0
-    at bit 0."""
+    at bit 0.  The deadline is tested after the packing and before each
+    column."""
     width = 1
     while n > 8 * width:
         width *= 2
@@ -233,7 +264,11 @@ def _columns(values: list[int], n: int) -> list[int]:
     planes = [packed[g::width] for g in range(width)]
     if sys.byteorder == "big":
         planes.reverse()
-    return [int(planes[j >> 3].translate(_DIGIT_OF_BIT[j & 7]), 2) for j in range(n)]
+    columns = []
+    for j in range(n):
+        _check_deadline(deadline)
+        columns.append(int(planes[j >> 3].translate(_DIGIT_OF_BIT[j & 7]), 2))
+    return columns
 
 
 def build_problem(
@@ -243,7 +278,8 @@ def build_problem(
     atoms the rules mention, and the box [0, bound]^n (bound defaults to
     n).  Raises SolveTimeout when the ``perf_counter`` deadline has
     passed; it is checked after the world-set pass, after each chunk of
-    the grouped pass, after the sort and the columns, and before every
+    the grouped pass, after the sort, after the values to transpose are
+    read, after they are packed, before each column, and before every
     peel step, so compilation overshoots it by at most one such step."""
     m, verifying, falsifying = rule_partitions(kb)
     n = kb.n
@@ -269,7 +305,9 @@ def build_problem(
         _check_deadline(deadline)
     order = sorted(ver)
     _check_deadline(deadline)
-    columns = _columns(order + list(map(ver.__getitem__, order)), n)
+    values = order + list(map(ver.__getitem__, order))
+    _check_deadline(deadline)
+    columns = _columns(values, n, deadline)
     d = len(order)
     everything = (1 << d) - 1
     has = [c & everything for c in columns]
@@ -303,7 +341,8 @@ def check_solution(p: CRProblem, v: KappaVector) -> bool:
     """Exact test of the constraint conjunction at vector v: propagation on
     the box of the single point lo = hi = v raises a bound exactly where v
     violates a constraint, and any raise passes hi, so it fails there.
-    The box is a plain ``_Box``: no raise holds, so no rule list is read."""
+    The box is a plain ``_Box``: no raise holds, so no occurrence list is
+    read."""
     n = p.n
     if len(v) != n:
         raise ValueError(f"vector has length {len(v)}, expected {n}")
@@ -342,8 +381,7 @@ class _Box:
     s, and ``vread[i]`` reads rule i's sums in one call.  The distinct
     F-signatures are numbered apart in the same way: ``fsig_ids[i]``,
     ``fsums[t]``, the sum of ``hi`` over F-signature t, and ``fread[i]``.
-    ``containing[j]`` and ``fcontaining[j]`` hold the V- and the
-    F-signatures that mention j.
+    ``vsigs`` and ``fsigs`` map each distinct signature to its number.
 
     ``headroom`` is how far one propagation call may raise sum(lo) before
     it fails the node (see the module docstring).  It starts at sum(hi)
@@ -352,26 +390,27 @@ class _Box:
 
     The stored sums equal the sums recomputed fresh.  They start out
     equal, and each move of a bound adds its change to exactly the sums
-    whose fresh value it moves: a move of lo_j to the sums of
-    ``containing[j]``, a move of hi_j to those of ``fcontaining[j]``.
+    whose fresh value it moves: a move of lo_j to the sums of the
+    V-signatures that mention j, a move of hi_j to those of the
+    F-signatures that mention j.
     Propagation only raises lo, so hi, and with it every F-sum, moves
     only where the search labels a variable, setting hi_j to the label,
     and where it puts hi_j back to the bound: when the node closes or
     gives way to its right branch.  A trail entry ``(j, lo_j)`` holds a
     value of lo_j to put back: undo restores it and subtracts the
-    difference, the current lo_j less the old, from the sums of
-    ``containing[j]``.  Undo pops the trail down
+    difference, the current lo_j less the old, from the sums of the
+    V-signatures that mention j.  Undo pops the trail down
     to a mark, latest entry first, so each variable with an entry above
     the mark gets back the value of its earliest such entry.
     """
 
     def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
-        n = p.n
         self.lo = lo = list(lo)
         self.hi = hi = list(hi)
         self.trail: list[tuple[int, int]] = []
-        vids: dict[tuple[int, ...], int] = {}
-        fids: dict[tuple[int, ...], int] = {}
+        self.vsigs: dict[tuple[int, ...], int] = {}
+        self.fsigs: dict[tuple[int, ...], int] = {}
+        vids, fids = self.vsigs, self.fsigs
         self.vsig_ids = [[vids.setdefault(sig, len(vids)) for sig in vs] for vs in p.verifying_sigs]
         self.fsig_ids = [[fids.setdefault(sig, len(fids)) for sig in fs] for fs in p.falsifying_sigs]
         self.vread = _readers(self.vsig_ids)
@@ -379,22 +418,24 @@ class _Box:
         self.sums = [sum(map(lo.__getitem__, sig)) for sig in vids]
         self.headroom = sum(hi) - sum(lo)
         self.fsums = [sum(map(hi.__getitem__, sig)) for sig in fids]
-        self.containing = _containing(vids, n)
-        self.fcontaining = _containing(fids, n)
 
 
 class _SearchBox(_Box):
     """A ``_Box`` whose raises can hold, as in a search or a propagation
-    test: ``raised_by[j]`` lists the rules whose V-signatures mention j
-    (their floors rise with lo[j]) and ``touched_by[j]`` the rules whose
-    V- or F-signatures mention j (their floors may move when lo[j] rises
-    or hi[j] falls).  A check's box of one point goes without them: there
-    lo = hi, so every raise fails before ``_propagate_box`` reads
-    ``raised_by``, and nothing there reads ``touched_by``."""
+    test: ``containing[j]`` and ``fcontaining[j]`` hold the numbers of the
+    V- and the F-signatures that mention j, ``raised_by[j]`` lists the
+    rules whose V-signatures mention j (their floors rise with lo[j]) and
+    ``touched_by[j]`` the rules whose V- or F-signatures mention j (their
+    floors may move when lo[j] rises or hi[j] falls).  A check's box of
+    one point goes without them: there lo = hi, so every raise fails
+    before ``_propagate_box`` reads ``containing`` or ``raised_by``, and
+    only the search moves hi or reads ``touched_by``."""
 
     def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
         super().__init__(p, lo, hi)
         n = p.n
+        self.containing = _containing(self.vsigs, n)
+        self.fcontaining = _containing(self.fsigs, n)
         self.raised_by = raised_by = [[] for _ in range(n)]
         self.touched_by = touched_by = [[] for _ in range(n)]
         for i, (vs, fs) in enumerate(zip(p.verifying_sigs, p.falsifying_sigs)):
@@ -461,7 +502,7 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
         if floor > lo[i]:
             d = floor - lo[i]
             # A check's point box, lo = hi, fails every raise here, so it
-            # needs no ``raised_by``.
+            # needs no ``containing`` or ``raised_by``.
             if floor > hi[i] or d > headroom:
                 return False
             headroom -= d
@@ -479,6 +520,41 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
 def _dominated(frontier: list[KappaVector], lo: Sequence[int]) -> bool:
     """True when some frontier vector is <= lo in every component."""
     return any(all(map(le, f, lo)) for f in frontier)
+
+
+def _entailment(p: CRProblem, box: _SearchBox) -> tuple[int, Callable[[int], bool]]:
+    """The first depth at which the search tests entailment, and the test
+    of a node at a depth d >= first: True when lo_i + min_sig(F_i, lo) >
+    min_sig(V_i, hi) for every rule i, read on ``box`` (see the module
+    docstring).  It tests only the rules with an F-signature whose
+    signatures mention a variable at d or past it, the one that failed
+    last at d first, and builds those lists and its readers on its first
+    call."""
+    vs, fs, lo = p.verifying_sigs, p.falsifying_sigs, box.lo
+    first = 0
+    for v, f in zip(vs, fs):
+        if f == ((),) and all(v):
+            first = max(first, 1 + min(map(max, v)))
+    tested: list[list[int]] = []
+    at_lo = at_hi = None
+
+    def entailed(d: int) -> bool:
+        nonlocal at_lo, at_hi
+        if not tested:
+            at_lo, at_hi = partial(map, lo.__getitem__), partial(map, box.hi.__getitem__)
+            rules: set[int] = set()
+            for j in reversed(range(p.n)):
+                rules.update(box.touched_by[j])
+                tested.append([i for i in rules if fs[i]])
+            tested.reverse()
+        rules = tested[d]
+        for k, i in enumerate(rules):
+            if lo[i] + min(map(sum, map(at_lo, fs[i]))) <= min(map(sum, map(at_hi, vs[i]))):
+                rules[0], rules[k] = i, rules[0]
+                return False
+        return True
+
+    return first, entailed
 
 
 def _search(
@@ -500,7 +576,10 @@ def _search(
     during propagation too, through the box's headroom; the module
     docstring shows that this drops the same nodes as a cut on sum(lo)
     after it.  The cut and the ceiling are asked again at each node, so
-    they may tighten as the caller consumes solutions.
+    they may tighten as the caller consumes solutions.  With neither, a
+    node whose box entails every rule yields the whole box in place of
+    its subtree, testing the deadline every 1,024 vectors (see the module
+    docstring).
 
     Every node, the root, a label and a right branch alike, is entered by
     one piece of code: it tests the deadline, stores the headroom
@@ -538,6 +617,9 @@ def _search(
     marks: list[int] = []
     queue: Iterable[int] = range(n)
     headroom = box.headroom
+    # The entailment test runs from depth ``first`` <= n: set once the root
+    # holds, and n, no depth, under a cut or a ceiling.
+    first = n if cut is not None or ceiling is not None else -1
     while True:
         # Enter a node: the root, a label or a right branch.  The deadline
         # test is _check_deadline inlined, since it runs at every node.
@@ -548,7 +630,9 @@ def _search(
         failed = headroom < 0 or not _propagate_box(box, queue) or (cut is not None and cut(lo))
         if not failed:
             idx = len(marks)
-            if idx < n:
+            if first < 0:
+                first, entailed = _entailment(p, box)
+            if idx < first or (idx < n and not entailed(idx)):
                 # Label x_idx = lo_idx; the parent's undo puts lo_idx back
                 # through the entry below the mark.
                 trail.append((idx, lo[idx]))
@@ -559,7 +643,18 @@ def _search(
                     fsums[t] += d
                 queue = touched_by[idx]
                 continue
-            yield tuple(lo)
+            if idx == n:
+                yield tuple(lo)
+            else:
+                # Every vector of the box is a solution: yield them all,
+                # testing the deadline every 1,024, and go back as after a
+                # closed subtree.
+                vectors = product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+                for v in vectors:
+                    yield v
+                    yield from islice(vectors, 1023)
+                    if deadline is not None and perf_counter() > deadline:
+                        raise SolveTimeout
         # Go back to the deepest label, x_idx = v with v = hi_idx.
         while marks:
             idx = len(marks) - 1
@@ -608,14 +703,22 @@ def _check_limit(limit: int | None) -> None:
         raise ValueError(f"limit must be nonnegative, got {limit}")
 
 
+def iter_solutions(
+    p: CRProblem, limit: int | None = None, deadline: float | None = None
+) -> Iterator[KappaVector]:
+    """The solutions of ``enumerate_solutions``, each yielded as the
+    search finds it, so none is held; ``limit`` stops the search there and
+    must be nonnegative."""
+    _check_limit(limit)
+    return islice(_search(p, deadline=deadline), limit)
+
+
 def enumerate_solutions(
     p: CRProblem, limit: int | None = None, deadline: float | None = None
 ) -> SolutionSet:
     """All solutions in the box, lexicographically; ``limit`` truncates and
     must be nonnegative."""
-    _check_limit(limit)
-    vectors = tuple(islice(_search(p, deadline=deadline), limit))
-    return SolutionSet(SolutionOrdering.ALL, p.bound, vectors)
+    return SolutionSet(SolutionOrdering.ALL, p.bound, tuple(iter_solutions(p, limit, deadline)))
 
 
 def solve_min_sum(

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
-from crsolve import gen_synthetic, induced_ocf, parse_kb, render_kb, render_table
+from crsolve import build_problem, gen_synthetic, induced_ocf, iter_solutions, parse_kb, render_kb, render_table
 from crsolve.cli import main
 
 from tests.helpers import (
@@ -169,6 +171,95 @@ class TestSolve:
     def test_generous_timeout_keeps_output(self, birds_file, capsys):
         assert main(["solve", "--mode", "pareto", "--timeout", "60", birds_file]) == 0
         assert capsys.readouterr().out == "1 0 1\n1 1 0\n"
+
+
+def kb6_file(tmp_path, reverse=False):
+    """kb(6,11), whose 8,139,125 solutions no test waits for, with its
+    rules in declared or in reversed order."""
+    head, *rules = render_kb(gen_synthetic(6)).splitlines(keepends=True)
+    path = tmp_path / "kb6.kb"
+    path.write_text(head + "".join(reversed(rules) if reverse else rules))
+    return str(path)
+
+
+def crsolve_process(*argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-m", "crsolve.cli", *argv], env=env, text=True, **kwargs
+    )
+
+
+class TestStreamedAll:
+    """``solve --mode all`` writes each vector as the search finds it."""
+
+    def test_timeout_keeps_the_lines_written(self, tmp_path):
+        path = kb6_file(tmp_path)
+        run = crsolve_process(
+            "solve", "--mode", "all", "--timeout", "0.3", path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        out, err = run.communicate(timeout=60)
+        assert (run.returncode, err) == (3, "error: timed out\n")
+        lines = out.splitlines()
+        want = islice(iter_solutions(build_problem(parse_kb(Path(path).read_text()))), len(lines))
+        assert lines == [" ".join(map(str, v)) for v in want]
+        assert 0 < len(lines) < 8_139_125
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # As ``crsolve solve --mode all kb6.kb | head -n 3`` does.
+        path = kb6_file(tmp_path)
+        run = crsolve_process("solve", "--mode", "all", path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        want = islice(iter_solutions(build_problem(parse_kb(Path(path).read_text()))), 3)
+        assert [run.stdout.readline() for _ in range(3)] == [" ".join(map(str, v)) + "\n" for v in want]
+        run.stdout.close()
+        assert run.wait(timeout=60) == 141
+        assert run.stderr.read() == ""
+        run.stderr.close()
+
+    def test_limit_and_json_agree_with_text(self, penguins_file, capsys):
+        assert main(["solve", "--mode", "all", "--limit", "40", penguins_file]) == 0
+        text = capsys.readouterr().out
+        assert main(["solve", "--mode", "all", "--limit", "40", "--json", penguins_file]) == 0
+        vectors = json.loads(capsys.readouterr().out)["solutions"]
+        assert text == "".join(" ".join(map(str, v)) + "\n" for v in vectors)
+        assert len(vectors) == 40
+
+
+class TestTimeoutOnEveryCommand:
+    ARGV = {
+        "query-min": ["query", "--min", "(w | k)"],
+        "query-vector": ["query", "--vector", "1,2,2,1,1", "(w | k)"],
+        "check": ["check", "--vector", "1,2,2,1,1"],
+    }
+
+    @pytest.mark.parametrize("command", ["query-min", "check"])
+    def test_expired_timeout_exits_3(self, command, penguins_file, capsys):
+        assert main([*self.ARGV[command][:1], "--timeout", "1e-9", *self.ARGV[command][1:], penguins_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: timed out\n"
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_nonpositive_timeout_rejected(self, command, timeout, penguins_file, capsys):
+        assert main([*self.ARGV[command], "--timeout", timeout, penguins_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--timeout must be positive" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_generous_timeout_keeps_output(self, command, penguins_file, capsys):
+        assert main([*self.ARGV[command], penguins_file]) in (0, 1)
+        want = capsys.readouterr()
+        assert main([*self.ARGV[command], "--timeout", "60", penguins_file]) in (0, 1)
+        assert capsys.readouterr() == want
+
+    def test_query_min_on_reversed_kb6_stops(self, tmp_path, capsys):
+        # Its sum-minimal search takes over a million nodes.
+        start = perf_counter()
+        assert main(["query", "--min", "--timeout", "0.3", "(f | a1)", kb6_file(tmp_path, reverse=True)]) == 3
+        assert perf_counter() - start < 3
+        assert capsys.readouterr().err == "error: timed out\n"
 
 
 class TestQuery:

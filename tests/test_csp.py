@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+from collections import deque
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -14,6 +16,7 @@ from crsolve import (
     check_solution,
     enumerate_solutions,
     gen_synthetic,
+    iter_solutions,
     ocf_min,
     parse_kb,
     pareto_min,
@@ -43,6 +46,8 @@ from tests.helpers import (
 CONTRADICTORY_TEXT = "vars: a\nrule: (a | top)\nrule: (!a | top)\n"
 DEGENERATE_TEXT = "vars: a\nrule: (a | bot)\n"
 EMPTY_TEXT = "vars: a\n"
+FREE3_TEXT = "vars: a, b, c\nrule: (top | a)\nrule: (top | b)\nrule: (top | c)\n"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 # SHA-256 of repr(build_problem(gen_synthetic(17, 0))), recorded from the
 # compile that filtered each rule's candidates from the sorted signatures.
 KB17_SHA256 = "f30e2a2d64ed876e1466c5d325c51370d2b3d7a1349ca3a906cc168ce0dc150b"
@@ -422,8 +427,8 @@ NODE_COUNTS = [
     (pareto_min, 6, 517),
     (pareto_min, 7, 2054),
     (pareto_min, 9, 32776),
-    (enumerate_solutions, 3, 221),
-    (enumerate_solutions, 4, 6522),
+    (enumerate_solutions, 3, 15),
+    (enumerate_solutions, 4, 71),
 ]
 
 
@@ -525,6 +530,91 @@ class TestEnumerate:
     def test_negative_limit_rejected(self, birds_problem):
         with pytest.raises(ValueError, match="limit must be nonnegative"):
             enumerate_solutions(birds_problem, limit=-1)
+
+
+class TestEntailedBoxes:
+    """Mode ``all`` yields each box whose every vector is a solution whole,
+    in the order labelling would have met its vectors."""
+
+    def test_matches_brute_force_on_random_kbs(self, monkeypatch):
+        # The constraints do not depend on the bound, so the solutions at a
+        # smaller bound are those at bound 2n with every component in it.
+        expanded = nodes = 0
+
+        def counting(box, queue):
+            nonlocal nodes
+            nodes += 1
+            return _propagate_box(box, queue)
+
+        monkeypatch.setattr(csp, "_propagate_box", counting)
+        rng = random.Random(26)
+        for _ in range(300):
+            kb = parse_kb(random_kb_text(rng, max_atoms=4, max_rules=4))
+            oracle = brute_solutions(kb, 2 * kb.n)
+            for bound in (0, kb.n, 2 * kb.n):
+                want = [v for v in oracle if max(v, default=0) <= bound]
+                p = build_problem(kb, bound=bound)
+                nodes = 0
+                assert list(enumerate_solutions(p).vectors) == want, (render_kb(kb), bound)
+                expanded += nodes < len(want)
+                for limit in (1, 7):
+                    got = enumerate_solutions(p, limit=limit).vectors
+                    assert list(got) == want[:limit], (render_kb(kb), bound, limit)
+                    assert list(iter_solutions(p, limit=limit)) == want[:limit]
+        # 141 of the 900 searches take fewer nodes than they find solutions.
+        assert expanded >= 100
+
+    @pytest.mark.parametrize("name", ["norules", "free2", "unsat"])
+    def test_edge_kbs_match_brute_force(self, name):
+        kb = parse_kb((GOLDEN / f"{name}.kb").read_text(encoding="utf-8"))
+        for bound in (0, 1, kb.n, 2 * kb.n + 1):
+            assert list(enumerate_solutions(build_problem(kb, bound=bound)).vectors) == brute_solutions(
+                kb, bound
+            )
+
+    def test_free_rules_are_one_node(self, monkeypatch):
+        # No world falsifies these rules: the root box is entailed.
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return _propagate_box(*args)
+
+        monkeypatch.setattr(csp, "_propagate_box", counting)
+        p = build_problem(parse_kb(FREE3_TEXT), bound=4)
+        assert enumerate_solutions(p).vectors == tuple(itertools.product(range(5), repeat=3))
+        assert calls == 1
+
+    def test_deadline_tested_every_1024_vectors(self, monkeypatch):
+        # Clock read k returns k.  The root's entry reads 1 and each 1,024
+        # vectors of its box read once more, so a deadline of 2 lets the
+        # first 2,048 of the 4,096 vectors through.
+        p = build_problem(parse_kb(FREE3_TEXT), bound=15)
+        ticks = itertools.count(1)
+        monkeypatch.setattr(csp, "perf_counter", lambda: next(ticks))
+        got = []
+        with pytest.raises(SolveTimeout):
+            for v in iter_solutions(p, deadline=2):
+                got.append(v)
+        assert got == list(itertools.product(range(16), repeat=3))[:2048]
+
+    def test_short_deadline_stops_kb6(self):
+        # kb(6,11) has 8,139,125 solutions, streamed without holding them.
+        p = build_problem(gen_synthetic(6))
+        start = perf_counter()
+        with pytest.raises(SolveTimeout):
+            deque(iter_solutions(p, deadline=start + 0.05), 0)
+        assert perf_counter() - start < 0.5
+
+    def test_sum_and_frontier_solvers_skip_the_test(self, monkeypatch):
+        # Under a ceiling or a cut, the search builds no entailment test.
+        monkeypatch.setattr(csp, "_entailment", None)
+        p = build_problem(gen_synthetic(4))
+        assert all_min_sum(p).vectors
+        assert solve_min_sum(p)
+        assert pareto_min(p).vectors
+        assert ocf_min(p).vectors
 
 
 class TestSolveMinSum:
