@@ -8,8 +8,6 @@ These make minimal solutions grow with n, which is what the harness is for.
 
 from __future__ import annotations
 
-import csv
-import statistics
 from dataclasses import dataclass
 from time import perf_counter
 from typing import IO, Iterable
@@ -76,6 +74,11 @@ def run_bench(
     time is the median over repetitions on a monotonic clock.  A timed-out
     spec yields a flagged record (no solution count) instead of raising.
     """
+    # Imported here, not with the module: statistics, with the fractions
+    # and decimal modules it loads, adds milliseconds to every import of
+    # the package, and only the harness needs it.
+    import statistics
+
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     records = []
@@ -115,6 +118,9 @@ def run_bench(
 def write_csv(records: Iterable[BenchRecord], stream: IO[str]) -> None:
     """Emit records as CSV with the fixed column set; timed-out records
     leave solutions_found empty."""
+    # Imported here for the reason statistics is imported in run_bench.
+    import csv
+
     writer = csv.writer(stream)
     writer.writerow(CSV_COLUMNS)
     for r in records:

@@ -83,8 +83,7 @@ under the node.  A node stopped early is one that propagating to the
 fixpoint and then cutting on sum(lo) would have dropped, or that would
 have failed, so the same nodes are visited and the same solutions found.
 The trail entries an early stop leaves are taken back by the next undo,
-as after a domain wipe-out.  ``check_solution`` propagates a
-box of one point.
+as after a domain wipe-out.
 
 Each labelling step is the binary choice of CLP(FD) labelling: a node
 labels its variable x with the least value v left, its fixpoint's lo of
@@ -112,14 +111,17 @@ minimum over no signature being infinite.  That is sound: every v in the
 box has v_i >= lo_i, each F-sum of v is at least its sum at lo and each
 V-sum at most its sum at hi, since the variables are nonnegative and lo
 <= v <= hi, so v_i + min_sig(F_i, v) > min_sig(V_i, v), constraint i at
-v.  A rule with no F-signature holds at every vector.  At depth d the
-variables before d are labelled, lo = hi there, so a rule whose
-signatures mention only those reads the same sums at lo and at hi, and
-the node's fixpoint, lo_i >= 1 + min_sig(V_i, lo) - min_sig(F_i, hi), is
-the test itself: only rules that mention a variable at d or past it can
-fail.  A rule whose F-antichain is the empty signature alone is tested as
-lo_i > min_sig(V_i, hi); while each of its V-signatures holds a variable
-at d or past it, whose hi is the bound, the right side is at least the
+v.  A rule with no F-signature holds at every vector.  A check,
+``check_solution``, is this test on the box of one point, lo = hi = v,
+and there it is exact, not only sufficient: both sides read v, so the
+test is constraint i at v itself.  At depth d the variables before d
+are labelled, lo = hi there, so a rule whose signatures mention only
+those reads the same sums at lo and at hi, and the node's fixpoint, lo_i
+>= 1 + min_sig(V_i, lo) - min_sig(F_i, hi), is the test itself: only
+rules that mention a variable at d or past it can fail.  A rule whose
+F-antichain is the empty signature alone is tested as lo_i >
+min_sig(V_i, hi); while each of its V-signatures holds a variable at d
+or past it, whose hi is the bound, the right side is at least the
 bound >= lo_i, so the search tests no depth up to the least of their
 largest variables.  When every rule is entailed, every vector of the box
 is a solution, and every solution under the node lies in the box, so the
@@ -338,17 +340,18 @@ def build_problem(
 
 
 def check_solution(p: CRProblem, v: KappaVector) -> bool:
-    """Exact test of the constraint conjunction at vector v: propagation on
-    the box of the single point lo = hi = v raises a bound exactly where v
-    violates a constraint, and any raise passes hi, so it fails there.
-    The box is a plain ``_Box``: no raise holds, so no occurrence list is
-    read."""
+    """Exact test of the constraint conjunction at vector v: the
+    entailment test of mode ``all`` on the box of the single point lo = hi
+    = v, where both sides read v, so it is constraint i at v for every
+    rule i (see the module docstring).  A rule that no world verifies
+    fails at every vector, and one that no world falsifies holds."""
     n = p.n
     if len(v) != n:
         raise ValueError(f"vector has length {len(v)}, expected {n}")
     if any(x < 0 for x in v):
         return False
-    return _propagate_box(_Box(p, v, v), range(n))
+    rules = [i for i, fs in enumerate(p.falsifying_sigs) if fs]
+    return all(p.verifying_sigs) and _entails(p, v, v)(rules)
 
 
 def _readers(sig_ids: list[list[int]]) -> list[Callable[[list[int]], tuple[int, ...]] | None]:
@@ -371,9 +374,8 @@ def _containing(sigs: Iterable[tuple[int, ...]], n: int) -> list[list[int]]:
 
 
 class _Box:
-    """The bounds of one check, with the sums that propagation reads and
-    the trail that puts lo back; a search box (``_SearchBox``) adds the
-    rule lists that queue propagation.
+    """The bounds of one search, with the sums that propagation reads, the
+    rule lists that queue it and the trail that puts lo back.
 
     ``lo`` and ``hi`` are the bounds.  The distinct V-signatures are
     numbered in order of first occurrence: ``vsig_ids[i]`` lists the
@@ -381,7 +383,11 @@ class _Box:
     s, and ``vread[i]`` reads rule i's sums in one call.  The distinct
     F-signatures are numbered apart in the same way: ``fsig_ids[i]``,
     ``fsums[t]``, the sum of ``hi`` over F-signature t, and ``fread[i]``.
-    ``vsigs`` and ``fsigs`` map each distinct signature to its number.
+    ``containing[j]`` and ``fcontaining[j]`` hold the numbers of the V-
+    and the F-signatures that mention j, ``raised_by[j]`` lists the rules
+    whose V-signatures mention j (their floors rise with lo[j]) and
+    ``touched_by[j]`` the rules whose V- or F-signatures mention j (their
+    floors may move when lo[j] rises or hi[j] falls).
 
     ``headroom`` is how far one propagation call may raise sum(lo) before
     it fails the node (see the module docstring).  It starts at sum(hi)
@@ -408,9 +414,8 @@ class _Box:
         self.lo = lo = list(lo)
         self.hi = hi = list(hi)
         self.trail: list[tuple[int, int]] = []
-        self.vsigs: dict[tuple[int, ...], int] = {}
-        self.fsigs: dict[tuple[int, ...], int] = {}
-        vids, fids = self.vsigs, self.fsigs
+        vids: dict[tuple[int, ...], int] = {}
+        fids: dict[tuple[int, ...], int] = {}
         self.vsig_ids = [[vids.setdefault(sig, len(vids)) for sig in vs] for vs in p.verifying_sigs]
         self.fsig_ids = [[fids.setdefault(sig, len(fids)) for sig in fs] for fs in p.falsifying_sigs]
         self.vread = _readers(self.vsig_ids)
@@ -418,24 +423,9 @@ class _Box:
         self.sums = [sum(map(lo.__getitem__, sig)) for sig in vids]
         self.headroom = sum(hi) - sum(lo)
         self.fsums = [sum(map(hi.__getitem__, sig)) for sig in fids]
-
-
-class _SearchBox(_Box):
-    """A ``_Box`` whose raises can hold, as in a search or a propagation
-    test: ``containing[j]`` and ``fcontaining[j]`` hold the numbers of the
-    V- and the F-signatures that mention j, ``raised_by[j]`` lists the
-    rules whose V-signatures mention j (their floors rise with lo[j]) and
-    ``touched_by[j]`` the rules whose V- or F-signatures mention j (their
-    floors may move when lo[j] rises or hi[j] falls).  A check's box of
-    one point goes without them: there lo = hi, so every raise fails
-    before ``_propagate_box`` reads ``containing`` or ``raised_by``, and
-    only the search moves hi or reads ``touched_by``."""
-
-    def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
-        super().__init__(p, lo, hi)
         n = p.n
-        self.containing = _containing(self.vsigs, n)
-        self.fcontaining = _containing(self.fsigs, n)
+        self.containing = _containing(vids, n)
+        self.fcontaining = _containing(fids, n)
         self.raised_by = raised_by = [[] for _ in range(n)]
         self.touched_by = touched_by = [[] for _ in range(n)]
         for i, (vs, fs) in enumerate(zip(p.verifying_sigs, p.falsifying_sigs)):
@@ -501,8 +491,6 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
         floor = 1 + min(read_v(sums)) - min(read_f(fsums))
         if floor > lo[i]:
             d = floor - lo[i]
-            # A check's point box, lo = hi, fails every raise here, so it
-            # needs no ``containing`` or ``raised_by``.
             if floor > hi[i] or d > headroom:
                 return False
             headroom -= d
@@ -522,37 +510,48 @@ def _dominated(frontier: list[KappaVector], lo: Sequence[int]) -> bool:
     return any(all(map(le, f, lo)) for f in frontier)
 
 
-def _entailment(p: CRProblem, box: _SearchBox) -> tuple[int, Callable[[int], bool]]:
+def _entails(p: CRProblem, lo: Sequence[int], hi: Sequence[int]) -> Callable[[list[int]], bool]:
+    """The test that the box [lo, hi] entails each rule of a list, all with
+    a V- and an F-signature (see the module docstring); it reads lo and hi
+    as they are when it runs and moves a rule that fails to the front."""
+    vs, fs = p.verifying_sigs, p.falsifying_sigs
+    at_lo, at_hi = partial(map, lo.__getitem__), partial(map, hi.__getitem__)
+
+    def entails(rules: list[int]) -> bool:
+        for i in rules:
+            if lo[i] + min(map(sum, map(at_lo, fs[i]))) <= min(map(sum, map(at_hi, vs[i]))):
+                k = rules.index(i)
+                rules[0], rules[k] = i, rules[0]
+                return False
+        return True
+
+    return entails
+
+
+def _entailment(p: CRProblem, box: _Box) -> tuple[int, Callable[[int], bool]]:
     """The first depth at which the search tests entailment, and the test
-    of a node at a depth d >= first: True when lo_i + min_sig(F_i, lo) >
-    min_sig(V_i, hi) for every rule i, read on ``box`` (see the module
-    docstring).  It tests only the rules with an F-signature whose
-    signatures mention a variable at d or past it, the one that failed
-    last at d first, and builds those lists and its readers on its first
-    call."""
-    vs, fs, lo = p.verifying_sigs, p.falsifying_sigs, box.lo
+    of a node at a depth d >= first, ``_entails`` on ``box``.  It tests
+    only the rules with an F-signature whose signatures mention a variable
+    at d or past it, the one that failed last at d first, and builds those
+    lists and its ``_entails`` on its first call."""
+    vs, fs = p.verifying_sigs, p.falsifying_sigs
     first = 0
     for v, f in zip(vs, fs):
         if f == ((),) and all(v):
             first = max(first, 1 + min(map(max, v)))
     tested: list[list[int]] = []
-    at_lo = at_hi = None
+    entails = None
 
     def entailed(d: int) -> bool:
-        nonlocal at_lo, at_hi
+        nonlocal entails
         if not tested:
-            at_lo, at_hi = partial(map, lo.__getitem__), partial(map, box.hi.__getitem__)
+            entails = _entails(p, box.lo, box.hi)
             rules: set[int] = set()
             for j in reversed(range(p.n)):
                 rules.update(box.touched_by[j])
                 tested.append([i for i in rules if fs[i]])
             tested.reverse()
-        rules = tested[d]
-        for k, i in enumerate(rules):
-            if lo[i] + min(map(sum, map(at_lo, fs[i]))) <= min(map(sum, map(at_hi, vs[i]))):
-                rules[0], rules[k] = i, rules[0]
-                return False
-        return True
+        return entails(tested[d])
 
     return first, entailed
 
@@ -610,7 +609,7 @@ def _search(
     lo_idx among them, which leaves the parent's fixpoint."""
     n = p.n
     bound = p.bound
-    box = _SearchBox(p, [0] * n, [bound] * n)
+    box = _Box(p, [0] * n, [bound] * n)
     lo, hi, sums, fsums, trail = box.lo, box.hi, box.sums, box.fsums, box.trail
     containing, fcontaining = box.containing, box.fcontaining
     raised_by, touched_by = box.raised_by, box.touched_by

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +124,12 @@ class TestCsv:
         assert rows[0] == ["kb_name", "vars", "conditionals", "operation", "wall_time_s", "solutions_found"]
         assert rows[1] == ["kb(2,3)", "3", "3", "min-all", "0.012346", "4"]
         assert rows[2] == ["kb(9,17)", "10", "17", "min-all", "1.500000", ""]
+
+
+class TestImport:
+    def test_package_import_loads_neither_csv_nor_statistics(self):
+        # Every CLI call imports the package; only the harness needs them.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = "import sys, crsolve; print(*sorted({'csv', 'statistics'} & set(sys.modules)))"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout == "\n"

@@ -24,7 +24,7 @@ from crsolve import (
     solve_min_sum,
 )
 from crsolve import csp
-from crsolve.csp import _SearchBox, _propagate_box
+from crsolve.csp import _Box, _propagate_box
 from crsolve.worlds import rule_partitions, world_signatures
 
 from tests.helpers import (
@@ -197,12 +197,28 @@ class TestCheckSolution:
                         vectors.append(v[:i] + (v[i] - 1,) + v[i + 1 :])
             for v in vectors:
                 assert check_solution(p, v) == check_ref(kb, v, compiled), (kb, v)
+        # The chains kb(4,7) .. kb(8,15) have more rules.  Their sum-minimal
+        # solutions sit on the boundary: one with a positive component
+        # lowered by one would be a solution with a smaller sum, so it must
+        # be invalid.
+        for n in range(4, 9):
+            kb = gen_synthetic(n)
+            p = build_problem(kb)
+            compiled = compile_ref(kb)
+            for v in all_min_sum(p).vectors:
+                assert check_solution(p, v) and check_ref(kb, v, compiled), (n, v)
+                for i in range(p.n):
+                    for d in (-1, 1) if v[i] > 0 else (1,):
+                        u = v[:i] + (v[i] + d,) + v[i + 1 :]
+                        valid = check_solution(p, u)
+                        assert valid == check_ref(kb, u, compiled), (n, u)
+                        assert d > 0 or not valid, (n, u)
 
 
 def propagate_box(p, lo=None, hi=None, queue=None):
     """(feasible, lo, hi) after propagating the box, or the given bounds,
     from every rule queued or only from ``queue``."""
-    box = _SearchBox(p, [0] * p.n if lo is None else lo, [p.bound] * p.n if hi is None else hi)
+    box = _Box(p, [0] * p.n if lo is None else lo, [p.bound] * p.n if hi is None else hi)
     queue = range(p.n) if queue is None else queue
     return _propagate_box(box, queue), box.lo, box.hi
 
@@ -354,7 +370,7 @@ class TestPropagate:
         for kb in kbs:
             p = build_problem(kb)
             compiled = compile_ref(kb)
-            touched_by = _SearchBox(p, [0] * p.n, [p.bound] * p.n).touched_by
+            touched_by = _Box(p, [0] * p.n, [p.bound] * p.n).touched_by
             # Carried state: labelling paths with backtracks through one box.
             depths, _, right = search_checking_nodes(kb, p, compiled, walks, monkeypatch)
             deep_nodes += sum(d >= 3 for d in depths)

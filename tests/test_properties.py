@@ -21,7 +21,7 @@ from crsolve import (
     render_kb,
     render_table,
 )
-from crsolve.csp import _SearchBox, _propagate_box
+from crsolve.csp import _Box, _propagate_box
 from crsolve.ocf import json_chunks, table_chunks
 from crsolve.worlds import iter_bits, selector, world_signatures, world_sums
 
@@ -110,13 +110,13 @@ def test_conjunction_is_intersection_of_world_sets(args):
 @given(kb_texts())
 def test_propagate_shrinks_and_is_idempotent(text):
     problem = build_problem(parse_kb(text))
-    box = _SearchBox(problem, [0] * problem.n, [problem.bound] * problem.n)
+    box = _Box(problem, [0] * problem.n, [problem.bound] * problem.n)
     lo, hi = box.lo, box.hi
     feasible = _propagate_box(box, range(problem.n))
     assert all(x >= 0 for x in lo)
     assert all(x <= problem.bound for x in hi)
     if feasible:
-        box2 = _SearchBox(problem, lo, hi)
+        box2 = _Box(problem, lo, hi)
         lo2, hi2 = box2.lo, box2.hi
         assert _propagate_box(box2, range(problem.n))
         assert (lo2, hi2) == (lo, hi)
