@@ -8,9 +8,8 @@ These make minimal solutions grow with n, which is what the harness is for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .csp import InfeasibleError, SolveTimeout, all_min_sum, build_problem
 from .kb import MAX_ATOMS, KnowledgeBase, parse_kb
@@ -18,8 +17,7 @@ from .kb import MAX_ATOMS, KnowledgeBase, parse_kb
 CSV_COLUMNS = ("kb_name", "vars", "conditionals", "operation", "wall_time_s", "solutions_found")
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(NamedTuple):
     """Chain parameter n and the number j of trailing rules to remove."""
 
     n: int
@@ -54,8 +52,7 @@ def gen_synthetic(n: int, j: int = 0) -> KnowledgeBase:
     return parse_kb("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     kb_name: str
     variables: int
     conditionals: int

@@ -10,8 +10,6 @@ diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -86,12 +84,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         result = SolutionSet(SolutionOrdering.SUM, problem.bound, (vector,), minimal_sum=minimal)
     elif args.mode == "min-all":
         result = all_min_sum(problem, deadline=deadline)
-        result = dataclasses.replace(result, vectors=result.vectors[: args.limit])
+        result = result._replace(vectors=result.vectors[: args.limit])
     elif args.mode == "pareto":
         result = pareto_min(problem, limit=args.limit, deadline=deadline)
     else:
         result = ocf_min(problem, limit=args.limit, deadline=deadline)
     if args.json:
+        # Imported here, as in ``ocf.json_chunks``: only --json needs it.
+        import json
+
         print(json.dumps(result.as_dict()))
     else:
         for v in result.vectors:

@@ -147,12 +147,11 @@ import heapq
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
 from operator import itemgetter, le
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .kb import KnowledgeBase
 from .worlds import iter_bits, rule_partitions, world_signatures
@@ -188,8 +187,7 @@ class SolveTimeout(Exception):
     """A solve operation exceeded its deadline."""
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     """Solution vectors in lexicographic order, without duplicates."""
 
     ordering: SolutionOrdering
@@ -212,8 +210,7 @@ class SolutionSet:
         return out
 
 
-@dataclass(frozen=True)
-class CRProblem:
+class CRProblem(NamedTuple):
     """Compiled constraint problem: signatures and the box [0, bound]^n.
 
     ``world_sigs`` holds the distinct falsification signatures, ascending:

@@ -38,7 +38,7 @@ input text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_ATOMS = 20
 MAX_RULES = 64
@@ -69,16 +69,14 @@ class KBSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """A propositional atom: its name and 1-based position in the alphabet."""
 
     name: str
     index: int
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One DNF term, as positive/negative literal masks over ``width`` atoms.
 
     Bit layout matches world indices: the atom with index i sits at bit
@@ -104,15 +102,13 @@ class Term:
         return out
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(NamedTuple):
     """A propositional formula in DNF."""
 
     terms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class Conditional:
+class Conditional(NamedTuple):
     """A default rule (consequent | antecedent) with its 1-based id.
 
     Rules parsed from a knowledge base carry ids 1..n in file order; ad-hoc
@@ -125,8 +121,7 @@ class Conditional:
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(NamedTuple):
     atoms: tuple[Atom, ...]
     conditionals: tuple[Conditional, ...]
 

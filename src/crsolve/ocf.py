@@ -30,18 +30,17 @@ no output is ever built whole unless the caller joins it.
 
 World sets, per-world sums, world labels and table order all come from
 ``worlds``.  RankingFunction is immutable and all queries are pure; its
-dense table ``ranks`` over all 2**m worlds is built on first read, and no
+dense table ``ranks`` over all 2**m worlds is built on every read and is
+not cached, so a caller that indexes it per world binds it once; no
 output reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, repeat
 from operator import add
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .csp import KappaVector
 from .kb import Conditional, KnowledgeBase
@@ -60,16 +59,16 @@ INFINITY = math.inf
 Rank = int | float
 
 
-@dataclass(frozen=True)
-class RankingFunction:
+class RankingFunction(NamedTuple):
     """The ranking that ``vector``, one natural per rule, induces on ``kb``."""
 
     kb: KnowledgeBase
     vector: KappaVector
 
-    @cached_property
+    @property
     def ranks(self) -> tuple[int, ...]:
-        """Dense rank table over all 2**m worlds, indexed by world."""
+        """Dense rank table over all 2**m worlds, indexed by world, built
+        on every read."""
         return world_sums(build_partitions(self.kb)[1], self.vector, self.kb.m)
 
 

@@ -280,7 +280,8 @@ def bits_ref(x: int) -> list[int]:
 
 def render_table_ref(r: RankingFunction) -> str:
     """The show-ocf table built world by world with ``world_str``."""
-    rows = [(world_str(r.kb.atoms, w), r.ranks[w]) for w in range(len(r.ranks) - 1, -1, -1)]
+    ranks = r.ranks
+    rows = [(world_str(r.kb.atoms, w), ranks[w]) for w in range(len(ranks) - 1, -1, -1)]
     width = max(len(s) for s, _ in rows)
     return "\n".join(f"{s:<{width}}  {rank}" for s, rank in rows) + "\n"
 
@@ -299,9 +300,10 @@ def world_str_compact(atoms, w: int) -> str:
 
 def ocf_records_ref(r: RankingFunction) -> list[dict]:
     """The show-ocf JSON records built world by world with ``world_str_compact``."""
+    ranks = r.ranks
     return [
-        {"world": world_str_compact(r.kb.atoms, w), "rank": r.ranks[w]}
-        for w in range(len(r.ranks) - 1, -1, -1)
+        {"world": world_str_compact(r.kb.atoms, w), "rank": ranks[w]}
+        for w in range(len(ranks) - 1, -1, -1)
     ]
 
 

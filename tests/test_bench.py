@@ -133,3 +133,10 @@ class TestImport:
         code = "import sys, crsolve; print(*sorted({'csv', 'statistics'} & set(sys.modules)))"
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert run.stdout == "\n"
+
+    def test_cli_import_loads_neither_dataclasses_inspect_nor_json(self):
+        # The records are NamedTuples, and only --json needs json.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = "import sys, crsolve.cli; print(*sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout == "\n"
