@@ -18,7 +18,7 @@ from crsolve import (
     ocf_min,
     parse_kb,
     pareto_min,
-    world_names,
+    render_table,
 )
 
 kb_path = Path(__file__).resolve().parent.parent / "kbs" / "birds.kb"
@@ -55,10 +55,11 @@ print()
 # The two sum-minimal vectors are componentwise incomparable, yet their
 # induced rankings are not: one ranking sits below the other everywhere.
 print("=== Why the ranking order breaks the tie ===")
-names = world_names(kb.atoms, " ")
 for v in minima.vectors:
-    ranking = induced_ocf(kb, v)
-    nonzero = {names[w]: r for w, r in enumerate(ranking.ranks) if r}
+    # The table's rows run from the all-true world down, each a world's
+    # literals and then its rank; reversed, they run in world-index order.
+    rows = reversed(render_table(induced_ocf(kb, v)).splitlines())
+    nonzero = {label: int(r) for label, r in (row.rsplit(maxsplit=1) for row in rows) if r != "0"}
     print(f"  {v} ranks the exceptional worlds as {nonzero}")
 print()
 print("Both vectors punish the same three worlds, but (1, 0, 1) never")

@@ -44,11 +44,7 @@ from .ocf import (
     induced_ocf,
     render_table,
 )
-from .worlds import (
-    WorldSet,
-    build_partitions,
-    world_names,
-)
+from .worlds import WorldSet, build_partitions
 
 __version__ = "0.1.0"
 
@@ -90,7 +86,6 @@ __all__ = [
     "render_table",
     "run_bench",
     "solve_min_sum",
-    "world_names",
     "write_csv",
     "__version__",
 ]

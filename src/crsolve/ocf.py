@@ -29,10 +29,9 @@ of the atoms (the first m // 2), so a chunk holds 2**(m - m // 2) rows and
 no output is ever built whole unless the caller joins it.
 
 World sets, per-world sums, world labels and table order all come from
-``worlds``.  RankingFunction is immutable and all queries are pure; its
-dense table ``ranks`` over all 2**m worlds is built on every read and is
-not cached, so a caller that indexes it per world binds it once; no
-output reads it.
+``worlds``.  RankingFunction is immutable and all queries are pure; it
+holds only the KB and the vector, and every rank is read from one of the
+tables above.
 """
 
 from __future__ import annotations
@@ -44,14 +43,7 @@ from typing import Iterator, NamedTuple
 
 from .csp import KappaVector
 from .kb import Conditional, KnowledgeBase
-from .worlds import (
-    build_partitions,
-    rule_partitions,
-    selector,
-    table_labels,
-    table_partitions,
-    world_sums,
-)
+from .worlds import rule_partitions, selector, table_labels, table_partitions, world_sums
 
 
 INFINITY = math.inf
@@ -64,12 +56,6 @@ class RankingFunction(NamedTuple):
 
     kb: KnowledgeBase
     vector: KappaVector
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        """Dense rank table over all 2**m worlds, indexed by world, built
-        on every read."""
-        return world_sums(build_partitions(self.kb)[1], self.vector, self.kb.m)
 
 
 def induced_ocf(kb: KnowledgeBase, v: KappaVector) -> RankingFunction:
@@ -142,9 +128,10 @@ def render_table(r: RankingFunction) -> str:
 
 
 def json_chunks(r: RankingFunction) -> Iterator[str]:
-    """A JSON list of ``{"world": world_names(atoms, "")[w], "rank": rank}``
-    in table order and a newline, with the separators of ``json.dumps``,
-    as one string per world of the high half of the atoms."""
+    """A JSON list of ``{"world": label, "rank": rank}`` in table order and
+    a newline, where a label is the world's literals with no separator
+    (``pb-fwk``), with the separators of ``json.dumps``, as one string per
+    world of the high half of the atoms."""
     # Imported here, not with the module: json adds about a millisecond
     # to every import of the package, and only this writer needs it.
     import json

@@ -9,7 +9,9 @@ bit (m - i) of the world index, so the first declared atom is the most
 significant bit and descending index order is conventional truth-table
 reading order (the all-true world first).  ``rule_partitions`` numbers
 the worlds over only the atoms that a KB's rules, and a query if given,
-mention the same way.
+mention the same way; every table the package builds, and so every rank,
+is over those worlds.  ``build_partitions``, the sets over all 2**m
+worlds, has no caller in the package.
 
 Sets of worlds are plain ints used as bitsets: bit w is set iff world w is
 in the set.  Every pass over the members of a set starts from its binary
@@ -54,7 +56,7 @@ from itertools import compress, count, product, repeat
 from operator import lshift, or_
 from typing import Iterator, Sequence
 
-from .kb import Atom, Conditional, Formula, KnowledgeBase
+from .kb import Conditional, Formula, KnowledgeBase
 
 WorldSet = int
 
@@ -217,8 +219,12 @@ def _partitions(
 
 def build_partitions(kb: KnowledgeBase) -> tuple[tuple[WorldSet, ...], tuple[WorldSet, ...]]:
     """The pair (verifying, falsifying): entry i of each is the set of
-    worlds verifying, resp. falsifying, rule i+1.  The two sets of a rule
-    are disjoint; a KB without rules gives ``((), ())``."""
+    worlds of all 2**m verifying, resp. falsifying, rule i+1.  The two sets
+    of a rule are disjoint; a KB without rules gives ``((), ())``.
+
+    Nothing in the package calls it: every table is built over the
+    mentioned atoms by ``rule_partitions``.  It stays public only because
+    the perfbench harness times it as a probe."""
     return _partitions(kb.conditionals, ())
 
 
@@ -305,13 +311,3 @@ def table_labels(names: Sequence[str], sep: str) -> tuple[list[str], list[str]]:
         [sep.join(t) for t in product(*[(a, "-" + a) for a in high])],
         [sep.join(t) for t in product(*[(a, "-" + a) for a in low])],
     )
-
-
-def world_names(atoms: tuple[Atom, ...], sep: str) -> list[str]:
-    """Every world's label, indexed by world: its literals, negated atoms
-    marked "-", joined by sep (``p b -f w k`` for sep " ", the compact
-    JSON form ``pb-fwk`` for sep "")."""
-    high, low = table_labels([a.name for a in atoms], sep)
-    if len(atoms) < 2:
-        return low[::-1]
-    return [h + sep + lo for h in reversed(high) for lo in reversed(low)]

@@ -24,6 +24,7 @@ from crsolve import (
     build_partitions,
     parse_conditional,
     parse_kb,
+    render_table,
 )
 from crsolve.kb import MAX_ATOMS, MAX_RULES
 
@@ -209,15 +210,15 @@ def propagate_ref(kb, lo, hi, compiled=None) -> list[int] | None:
 
 def falsified_sum(kb: KnowledgeBase, i: int, w: int, v: tuple[int, ...]) -> int:
     """Sum of v[j] over rules j != i (1-based ids) falsified at world w of
-    all 2**m, read from the falsifying sets of ``build_partitions``."""
+    all 2**m, read from the falsifying worlds of ``partitions_ref``."""
     if not 1 <= i <= kb.n:
         raise ValueError(f"rule id {i} out of range 1..{kb.n}")
     if not 0 <= w < 1 << kb.m:
         raise ValueError(f"world index {w} out of range")
     if len(v) != kb.n:
         raise ValueError(f"vector has length {len(v)}, expected {kb.n}")
-    _, falsifying = build_partitions(kb)
-    return sum(v[j] for j in range(kb.n) if j != i - 1 and falsifying[j] >> w & 1)
+    _, falsifying = partitions_ref(kb)
+    return sum(v[j] for j in range(kb.n) if j != i - 1 and w in falsifying[j])
 
 
 def brute_solutions(kb: KnowledgeBase, bound: int | None = None) -> list[tuple[int, ...]]:
@@ -245,11 +246,11 @@ def non_dominated_ref(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def induced_ranks_ref(kb: KnowledgeBase, v: tuple[int, ...]) -> list[int]:
+    """Rank of every world of all 2**m, indexed by world: v summed over the
+    rules whose falsifying worlds from ``partitions_ref`` hold it."""
     _, falsifying = partitions_ref(kb)
-    ranks = []
-    for w in range(2**kb.m):
-        ranks.append(sum(v[i] for i in range(kb.n) if w in set(falsifying[i])))
-    return ranks
+    fsets = [set(ws) for ws in falsifying]
+    return [sum(v[i] for i in range(kb.n) if w in fsets[i]) for w in range(2**kb.m)]
 
 
 def ocf_min_ref(kb: KnowledgeBase, bound: int | None = None) -> list[tuple[int, ...]]:
@@ -279,11 +280,20 @@ def bits_ref(x: int) -> list[int]:
 
 
 def render_table_ref(r: RankingFunction) -> str:
-    """The show-ocf table built world by world with ``world_str``."""
-    ranks = r.ranks
-    rows = [(world_str(r.kb.atoms, w), ranks[w]) for w in range(len(ranks) - 1, -1, -1)]
+    """The show-ocf table built world by world with ``world_str`` and
+    ``rank_at_ref``."""
+    rows = [
+        (world_str(r.kb.atoms, w), rank_at_ref(r.kb, r.vector, w)) for w in reversed(range(2**r.kb.m))
+    ]
     width = max(len(s) for s, _ in rows)
     return "\n".join(f"{s:<{width}}  {rank}" for s, rank in rows) + "\n"
+
+
+def table_ranks(r: RankingFunction) -> list[int]:
+    """The ranks that the rows of ``render_table`` show, indexed by world:
+    the rows run in table order, all-true world first, and each ends in
+    its rank."""
+    return [int(row.split()[-1]) for row in reversed(render_table(r).splitlines())]
 
 
 def world_str(atoms, w: int, sep: str = " ") -> str:
@@ -299,11 +309,11 @@ def world_str_compact(atoms, w: int) -> str:
 
 
 def ocf_records_ref(r: RankingFunction) -> list[dict]:
-    """The show-ocf JSON records built world by world with ``world_str_compact``."""
-    ranks = r.ranks
+    """The show-ocf JSON records built world by world with
+    ``world_str_compact`` and ``rank_at_ref``."""
     return [
-        {"world": world_str_compact(r.kb.atoms, w), "rank": ranks[w]}
-        for w in range(len(ranks) - 1, -1, -1)
+        {"world": world_str_compact(r.kb.atoms, w), "rank": rank_at_ref(r.kb, r.vector, w)}
+        for w in reversed(range(2**r.kb.m))
     ]
 
 

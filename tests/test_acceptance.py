@@ -25,6 +25,7 @@ from crsolve import (
     run_bench,
     solve_min_sum,
 )
+from crsolve.ocf import table_chunks
 
 from tests.helpers import (
     PENGUINS_RANKS,
@@ -36,6 +37,8 @@ from tests.helpers import (
     penguins_kb,
     random_kb_text,
     rank_at_ref,
+    table_ranks,
+    world_str,
 )
 
 
@@ -82,13 +85,13 @@ def test_criterion_3_penguins_unique_minimum():
 
 
 def test_criterion_4_reference_ranking_table():
-    ranking = induced_ocf(penguins_kb(), (1, 2, 2, 1, 1))
+    ranks = table_ranks(induced_ocf(penguins_kb(), (1, 2, 2, 1, 1)))
     spot = (
-        ranking.ranks[0b11111] == 2  # p b f w k
-        and ranking.ranks[0b10111] == 5  # p -b f w k
-        and ranking.ranks[0b00000] == 0  # all negative
+        ranks[0b11111] == 2  # p b f w k
+        and ranks[0b10111] == 5  # p -b f w k
+        and ranks[0b00000] == 0  # all negative
     )
-    ok = ranking.ranks == PENGUINS_RANKS and spot
+    ok = tuple(ranks) == PENGUINS_RANKS and spot
     assert report(4, "induced ranking reproduces the full 32-world reference table", ok)
 
 
@@ -156,6 +159,7 @@ def test_criterion_7_solutions_accept_their_rules():
     violations = 0
     fixtures = [birds_kb(), penguins_kb(), gen_synthetic(2, 0), gen_synthetic(3, 0)]
     for kb in fixtures + _random_kbs(200):
+        everything = parse_conditional("(top | top)", kb.atoms)
         problem = build_problem(kb)
         try:
             emitted = set(all_min_sum(problem).vectors)
@@ -165,7 +169,7 @@ def test_criterion_7_solutions_accept_their_rules():
         emitted.add(solve_min_sum(problem)[1])
         for v in emitted:
             ranking = induced_ocf(kb, v)
-            if min(ranking.ranks) != 0:
+            if acceptance_ranks(ranking, everything)[0] != 0:
                 violations += 1
             if not all(accepts(ranking, c) for c in kb.conditionals):
                 violations += 1
@@ -239,8 +243,20 @@ def test_criterion_10_twenty_atoms():
     elapsed = perf_counter() - start
     rng = random.Random(20)
     sample = [0, 2**20 - 1] + rng.sample(range(2**20), 300)
-    table = ranking.ranks
-    agree = all(table[w] == rank_at_ref(kb, minima.vectors[0], w) for w in sample)
+    # The table runs from the all-true world down, 2**10 rows per chunk;
+    # only the chunks that hold a sampled world are split into rows.
+    wanted: dict[int, list[tuple[int, int]]] = {}
+    for w in sample:
+        h, row = divmod(2**20 - 1 - w, 2**10)
+        wanted.setdefault(h, []).append((w, row))
+    agree = True
+    for h, chunk in enumerate(table_chunks(ranking)):
+        if h in wanted:
+            rows = chunk.splitlines()
+            for w, row in wanted[h]:
+                *label, rank = rows[row].split()
+                agree &= " ".join(label) == world_str(kb.atoms, w)
+                agree &= int(rank) == rank_at_ref(kb, minima.vectors[0], w)
     ok = minima.vectors == ((1, 2),) and ranks == (1, 2) and agree and elapsed < 2.0
     assert report(
         10,

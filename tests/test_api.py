@@ -34,6 +34,25 @@ def test_star_import_binds_every_name():
     assert set(crsolve.__all__) <= namespace.keys()
 
 
+def test_no_dense_world_space():
+    # Every rank is read from a table over the atoms that the rules mention,
+    # so neither a rank table over all 2**m worlds (RankingFunction.ranks)
+    # nor labels by world index (world_names) is public.  __all__ is pinned
+    # whole, so no other name leaves it unnoticed.
+    assert set(crsolve.__all__) == {
+        "Atom", "BenchRecord", "Conditional", "CRProblem", "Formula", "INFINITY",
+        "InfeasibleError", "KBSyntaxError", "KappaVector", "KnowledgeBase", "Rank",
+        "RankingFunction", "SolutionOrdering", "SolutionSet", "SolveTimeout",
+        "SyntheticSpec", "Term", "WorldSet", "acceptance_ranks", "accepts", "all_min_sum",
+        "build_partitions", "build_problem", "check_solution", "enumerate_solutions",
+        "gen_synthetic", "induced_ocf", "iter_solutions", "ocf_min", "parse_conditional",
+        "parse_kb", "pareto_min", "render_formula", "render_kb", "render_table", "run_bench",
+        "solve_min_sum", "write_csv", "__version__",
+    }
+    assert not hasattr(crsolve, "world_names")
+    assert not hasattr(RankingFunction, "ranks")
+
+
 _T = Term(2, 2, 0)
 _KB = KnowledgeBase((Atom("p", 1),), ())
 RECORDS = [

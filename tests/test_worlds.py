@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,14 +7,17 @@ from crsolve import (
     KnowledgeBase,
     build_partitions,
     gen_synthetic,
+    induced_ocf,
     parse_conditional,
     parse_kb,
-    world_names,
+    render_table,
 )
 from crsolve.kb import Atom, Term
-from crsolve.worlds import iter_bits, rule_partitions
+from crsolve.ocf import json_chunks
+from crsolve.worlds import iter_bits, rule_partitions, table_labels
 
 from tests.helpers import (
+    PENGUINS_TEXT,
     eval_formula_ref,
     eval_term,
     formula_set,
@@ -24,6 +28,8 @@ from tests.helpers import (
     random_kb_text,
     true_atoms,
     with_unused_atoms,
+    world_str,
+    world_str_compact,
 )
 
 # Penguin worlds by name, p most significant.
@@ -234,17 +240,41 @@ class TestRulePartitions:
                 assert all(ws < 1 << (1 << m) for ws in sets)
 
 
+def _labels(atoms, sep: str) -> list[str]:
+    # Every world's label from table_labels: its high label, sep and its
+    # low label, with no sep when the high half is empty (one atom).
+    high, low = table_labels([a.name for a in atoms], sep)
+    return [h + sep + lo if h else lo for h in high for lo in low]
+
+
 class TestRendering:
+    # Labels run in table order, the all-true world first, so world w of
+    # 2**m sits at position 2**m - 1 - w; the text rows and the JSON
+    # records of show-ocf carry the same labels in the same order.
+    KBS = [PENGUINS_TEXT, "vars: a\nrule: (a | top)\n"]
+
     def test_world_str(self, penguins):
-        names = world_names(penguins.atoms, " ")
-        assert names[PBFWK] == "p b f w k"
-        assert names[P_B_NOTF_WK] == "p b -f w k"
-        assert names[0] == "-p -b -f -w -k"
+        names = _labels(penguins.atoms, " ")
+        assert names[31 - PBFWK] == "p b f w k"
+        assert names[31 - P_B_NOTF_WK] == "p b -f w k"
+        assert names[31] == "-p -b -f -w -k"
+        for text in self.KBS:
+            kb = parse_kb(text)
+            want = [world_str(kb.atoms, w) for w in reversed(range(2**kb.m))]
+            rows = render_table(induced_ocf(kb, (1,) * kb.n)).splitlines()
+            assert _labels(kb.atoms, " ") == want
+            assert [" ".join(row.split()[:-1]) for row in rows] == want
 
     def test_world_str_compact(self, penguins):
-        names = world_names(penguins.atoms, "")
-        assert names[PBFWK] == "pbfwk"
-        assert names[0b10111] == "p-bfwk"
+        names = _labels(penguins.atoms, "")
+        assert names[31 - PBFWK] == "pbfwk"
+        assert names[31 - 0b10111] == "p-bfwk"
+        for text in self.KBS:
+            kb = parse_kb(text)
+            want = [world_str_compact(kb.atoms, w) for w in reversed(range(2**kb.m))]
+            records = json.loads("".join(json_chunks(induced_ocf(kb, (1,) * kb.n))))
+            assert _labels(kb.atoms, "") == want
+            assert [x["world"] for x in records] == want
 
 
 class TestBitHelpers:
