@@ -118,14 +118,29 @@ test is constraint i at v itself.  At depth d the variables before d
 are labelled, lo = hi there, so a rule whose signatures mention only
 those reads the same sums at lo and at hi, and the node's fixpoint, lo_i
 >= 1 + min_sig(V_i, lo) - min_sig(F_i, hi), is the test itself: only
-rules that mention a variable at d or past it can fail.  A rule whose
-F-antichain is the empty signature alone is tested as lo_i >
-min_sig(V_i, hi); while each of its V-signatures holds a variable at d
-or past it, whose hi is the bound, the right side is at least the
-bound >= lo_i, so the search tests no depth up to the least of their
-largest variables.  When every rule is entailed, every vector of the box
-is a solution, and every solution under the node lies in the box, so the
-node's solutions are the product of the ranges [lo_j, hi_j].
+rules that mention a variable at d or past it can fail.
+
+The search tests the box [lo, cap], where cap <= hi bounds every
+solution under the node from above.  Take a rule r with an F-signature.
+A solution k under the node meets constraint r, so min_sig(V_r, k) <
+k_r + min_sig(F_r, k) <= hi_r + min_sig(F_r, hi): some V-signature S of
+r has sum_S(k) <= hi_r + min_sig(F_r, hi) - 1.  A variable j that lies
+in every V-signature of r lies in that S, whose other variables are at
+least their lo, and sum_S(lo) >= min_sig(V_r, lo); so k_j <= lo_j +
+slack_r, where slack_r = hi_r + min_sig(F_r, hi) - 1 - min_sig(V_r, lo).
+cap_j is the least of hi_j and these bounds over the rules r.  The
+fixpoint's lo_r >= 1 + min_sig(V_r, lo) - min_sig(F_r, hi) gives slack_r
+>= hi_r - lo_r >= 0, so cap >= lo, and cap = lo = hi on the labelled
+variables: the rules that mention only those hold on [lo, cap] as on
+[lo, hi].  A V-sum at cap is at most its sum at hi, so the test passes
+on [lo, cap] wherever it passes on [lo, hi].  The cap is what ends the
+labelling when a rule comes before the later one it overrides: an
+exception whose every verifying world falsifies a later default has
+that default's variable in each V-signature, so on [lo, hi], with the
+variable at the bound, it fails until the variable is labelled.
+When every rule is entailed on [lo, cap], every vector of [lo, cap] is a
+solution, and every solution under the node lies in [lo, cap], so the
+node's solutions are the product of the ranges [lo_j, cap_j].
 ``itertools.product`` runs it with the labelled prefix fixed and the rest
 ascending, the last component fastest: the lexicographic order in which
 labelling meets them.  The search then goes back as after a closed
@@ -133,7 +148,7 @@ subtree.  Under a cut or a ceiling the test is skipped.  There lo is the
 only wanted vector of an entailed box: every other one lies above lo, so
 its sum is larger, which the ceiling excludes once lo is found, and the
 Pareto cut rejects it once lo is in the frontier.  Labelling reaches lo
-at once, since no rule raises a bound of an entailed box, so those
+at once, since lo is a solution, which no propagation raises, so those
 solvers keep their nodes.
 
 A CRProblem is immutable after build; each solve call builds its own box
@@ -525,32 +540,48 @@ def _entails(p: CRProblem, lo: Sequence[int], hi: Sequence[int]) -> Callable[[li
     return entails
 
 
-def _entailment(p: CRProblem, box: _Box) -> tuple[int, Callable[[int], bool]]:
-    """The first depth at which the search tests entailment, and the test
-    of a node at a depth d >= first, ``_entails`` on ``box``.  It tests
-    only the rules with an F-signature whose signatures mention a variable
-    at d or past it, the one that failed last at d first, and builds those
-    lists and its ``_entails`` on its first call."""
+def _entailment(p: CRProblem, box: _Box) -> Callable[[int], list[int] | None]:
+    """The test of a node at depth d: the caps of ``box`` when the box
+    [lo, cap] entails every rule, else None (see the module docstring).
+    It tests only the rules with an F-signature whose signatures mention
+    a variable at d or past it, the one that failed last at d first, and
+    builds those lists on its first call.  It tests [lo, hi] first, which
+    needs no caps.  When that fails on a rule that holds at lo, where its
+    V-sums are least, it computes the caps, building on first use the
+    list of rules that cap some variable, and tests again if a cap fell."""
     vs, fs = p.verifying_sigs, p.falsifying_sigs
-    first = 0
-    for v, f in zip(vs, fs):
-        if f == ((),) and all(v):
-            first = max(first, 1 + min(map(max, v)))
+    lo, hi, sums, fsums, vread, fread = box.lo, box.hi, box.sums, box.fsums, box.vread, box.fread
+    cap = hi.copy()
     tested: list[list[int]] = []
-    entails = None
+    capping: list[tuple[int, set[int]]] | None = None
+    entails = at_lo = None
 
-    def entailed(d: int) -> bool:
-        nonlocal entails
+    def entailed(d: int) -> list[int] | None:
+        nonlocal capping, entails, at_lo
         if not tested:
-            entails = _entails(p, box.lo, box.hi)
-            rules: set[int] = set()
+            entails, at_lo = _entails(p, lo, cap), partial(map, lo.__getitem__)
+            touching: set[int] = set()
             for j in reversed(range(p.n)):
-                rules.update(box.touched_by[j])
-                tested.append([i for i in rules if fs[i]])
+                touching.update(box.touched_by[j])
+                tested.append([i for i in touching if fs[i]])
             tested.reverse()
-        return entails(tested[d])
+        cap[:] = hi
+        rules = tested[d]
+        if entails(rules):
+            return cap
+        i = rules[0]
+        if capping == [] or lo[i] + min(map(sum, map(at_lo, fs[i]))) <= min(vread[i](sums)):
+            return None
+        if capping is None:
+            capping = [(r, js) for r, v in enumerate(vs) if fs[r] and (js := set(v[0]).intersection(*v))]
+        for r, js in capping:
+            slack = hi[r] - 1 + min(fread[r](fsums)) - min(vread[r](sums))
+            for j in js:
+                if lo[j] + slack < cap[j]:
+                    cap[j] = lo[j] + slack
+        return cap if cap != hi and entails(rules) else None
 
-    return first, entailed
+    return entailed
 
 
 def _search(
@@ -573,7 +604,8 @@ def _search(
     docstring shows that this drops the same nodes as a cut on sum(lo)
     after it.  The cut and the ceiling are asked again at each node, so
     they may tighten as the caller consumes solutions.  With neither, a
-    node whose box entails every rule yields the whole box in place of
+    node whose box [lo, cap] entails every rule, where cap bounds every
+    solution under the node from above, yields that box whole in place of
     its subtree, testing the deadline every 1,024 vectors (see the module
     docstring).
 
@@ -613,9 +645,8 @@ def _search(
     marks: list[int] = []
     queue: Iterable[int] = range(n)
     headroom = box.headroom
-    # The entailment test runs from depth ``first`` <= n: set once the root
-    # holds, and n, no depth, under a cut or a ceiling.
-    first = n if cut is not None or ceiling is not None else -1
+    # Under a cut or a ceiling the search runs no entailment test.
+    entailed = _entailment(p, box) if cut is None and ceiling is None else None
     while True:
         # Enter a node: the root, a label or a right branch.  The deadline
         # test is _check_deadline inlined, since it runs at every node.
@@ -626,9 +657,7 @@ def _search(
         failed = headroom < 0 or not _propagate_box(box, queue) or (cut is not None and cut(lo))
         if not failed:
             idx = len(marks)
-            if first < 0:
-                first, entailed = _entailment(p, box)
-            if idx < first or (idx < n and not entailed(idx)):
+            if idx < n and (entailed is None or (cap := entailed(idx)) is None):
                 # Label x_idx = lo_idx; the parent's undo puts lo_idx back
                 # through the entry below the mark.
                 trail.append((idx, lo[idx]))
@@ -642,10 +671,10 @@ def _search(
             if idx == n:
                 yield tuple(lo)
             else:
-                # Every vector of the box is a solution: yield them all,
+                # Every vector of [lo, cap] is a solution: yield them all,
                 # testing the deadline every 1,024, and go back as after a
                 # closed subtree.
-                vectors = product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+                vectors = product(*[range(a, b + 1) for a, b in zip(lo, cap)])
                 for v in vectors:
                     yield v
                     yield from islice(vectors, 1023)

@@ -88,17 +88,14 @@ def eval_term(t: Term, w: int) -> bool:
 
 
 def eval_formula_ref(f: Formula, kb: KnowledgeBase, w: int) -> bool:
-    atoms = true_atoms(kb, w)
-    names = {a.index: a.name for a in kb.atoms}
-    for term in f.terms:
-        ok = True
-        for index, positive in term.literals():
-            if (names[index] in atoms) != positive:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    """True iff every literal of some term holds in world ``w``, where the
+    atom of index i (1-based) is true when bit m - i of ``w`` is set, as in
+    ``true_atoms``."""
+    m = kb.m
+    return any(
+        all(((w >> (m - index)) & 1) == positive for index, positive in term.literals())
+        for term in f.terms
+    )
 
 
 def indicator_ref(c: Conditional, kb: KnowledgeBase, w: int) -> str:
@@ -360,6 +357,16 @@ def many_rules_kb_text(rng: random.Random, m: int, n: int) -> str:
     ):
         rules.insert(rng.randint(0, len(rules)), rule)
     return "vars: " + ", ".join(names) + "\n" + "".join(f"rule: {r}\n" for r in rules)
+
+
+def exception_first_kb_text(n: int) -> str:
+    """KB text of n >= 2 rules: penguins' exception (!x1 | x0, y) first,
+    the default (x1 | x0) it overrides last, and between them n - 2
+    independent rules (c_i | d_i) over atoms of their own."""
+    middle = range(1, n - 1)
+    atoms = ["x0", "x1", "y"] + [f"{c}{i}" for i in middle for c in "cd"]
+    rules = ["(!x1 | x0, y)"] + [f"(c{i} | d{i})" for i in middle] + ["(x1 | x0)"]
+    return "vars: " + ", ".join(atoms) + "\n" + "".join(f"rule: {r}\n" for r in rules)
 
 
 def world_sigs_ref(kb: KnowledgeBase) -> tuple[int, ...]:

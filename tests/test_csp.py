@@ -24,7 +24,7 @@ from crsolve import (
     solve_min_sum,
 )
 from crsolve import csp
-from crsolve.csp import _Box, _propagate_box
+from crsolve.csp import _Box, _entailment, _propagate_box
 from crsolve.worlds import rule_partitions, world_signatures
 
 from tests.helpers import (
@@ -32,12 +32,14 @@ from tests.helpers import (
     brute_solutions,
     check_ref,
     compile_ref,
+    exception_first_kb_text,
     falsified_sum,
     many_rules_kb_text,
     minimal_sigs_ref,
     non_dominated_ref,
     ocf_min_ref,
     propagate_ref,
+    random_formula_text,
     random_kb_text,
     with_unused_atoms,
     world_sigs_ref,
@@ -47,6 +49,16 @@ CONTRADICTORY_TEXT = "vars: a\nrule: (a | top)\nrule: (!a | top)\n"
 DEGENERATE_TEXT = "vars: a\nrule: (a | bot)\n"
 EMPTY_TEXT = "vars: a\n"
 FREE3_TEXT = "vars: a, b, c\nrule: (top | a)\nrule: (top | b)\nrule: (top | c)\n"
+# The random KB rand(4,5) of perfbench's box-filter workload: rule 1 holds
+# only where k_1 > k_5, an exception written before the rule it overrides.
+RAND45_TEXT = (
+    "vars: y8, h4, k4, h0\n"
+    "rule: (k4 | !h0, h4)\n"
+    "rule: (!k4 | !y8)\n"
+    "rule: (!h0 | y8)\n"
+    "rule: (!y8 | !k4)\n"
+    "rule: (!k4 | h4)\n"
+)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # SHA-256 of repr(build_problem(gen_synthetic(17, 0))), recorded from the
 # compile that filtered each rule's candidates from the sorted signatures.
@@ -579,6 +591,74 @@ class TestEntailedBoxes:
                     assert list(iter_solutions(p, limit=limit)) == want[:limit]
         # 141 of the 900 searches take fewer nodes than they find solutions.
         assert expanded >= 100
+
+    def test_exception_first_orders_match_brute_force(self, monkeypatch):
+        # Penguins' exception (!y | x, z) before its default (y | x), with
+        # up to two random rules between them: the exception holds only
+        # below the default's variable, which is labelled after it, and
+        # the caps end those searches early.
+        capped = 0
+
+        def counting(p, box):
+            entailed = _entailment(p, box)
+
+            def counted(d):
+                nonlocal capped
+                cap = entailed(d)
+                capped += cap is not None and cap != box.hi
+                return cap
+
+            return counted
+
+        monkeypatch.setattr(csp, "_entailment", counting)
+        rng = random.Random(31)
+        names = ["a", "b", "c"]
+        texts = [exception_first_kb_text(n) for n in (2, 3, 4)]
+        for _ in range(300):
+            x, y, z = rng.sample(names, 3)
+            rules = [
+                f"({random_formula_text(rng, names)} | {random_formula_text(rng, names)})"
+                for _ in range(rng.choice((0, 1, 1, 2)))
+            ]
+            rules = [f"(!{y} | {x}, {z})", *rules, f"({y} | {x})"]
+            texts.append("vars: a, b, c\n" + "".join(f"rule: {r}\n" for r in rules))
+        searches = 0
+        for text in texts:
+            kb = parse_kb(text)
+            oracle = brute_solutions(kb, 2 * kb.n)
+            for bound in (0, kb.n, 2 * kb.n):
+                want = [v for v in oracle if max(v, default=0) <= bound]
+                p = build_problem(kb, bound=bound)
+                before = capped
+                assert list(enumerate_solutions(p).vectors) == want, (text, bound)
+                searches += capped > before
+                for limit in (1, 7):
+                    got = enumerate_solutions(p, limit=limit).vectors
+                    assert list(got) == want[:limit], (text, bound, limit)
+                    assert list(iter_solutions(p, limit=limit)) == want[:limit]
+        # 426 of the 909 searches yield a box that a cap shortened.
+        assert searches >= 300, searches
+
+    @pytest.mark.parametrize(
+        "text, nodes, solutions",
+        [
+            pytest.param(RAND45_TEXT, 5, 1250, id="rand45"),
+            pytest.param(exception_first_kb_text(7), 7, 352947, id="exc7"),
+        ],
+    )
+    def test_exception_first_nodes(self, text, nodes, solutions, monkeypatch):
+        # Labelled down to every leaf, these take 3,050 and 727,503 nodes.
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return _propagate_box(*args)
+
+        monkeypatch.setattr(csp, "_propagate_box", counting)
+        p = build_problem(parse_kb(text))
+        assert sum(1 for _ in iter_solutions(p)) == solutions
+        assert calls == nodes
 
     @pytest.mark.parametrize("name", ["norules", "free2", "unsat"])
     def test_edge_kbs_match_brute_force(self, name):
