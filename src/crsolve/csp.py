@@ -82,8 +82,6 @@ current lo; so once sum(lo) passes the ceiling, no wanted solution lies
 under the node.  A node stopped early is one that propagating to the
 fixpoint and then cutting on sum(lo) would have dropped, or that would
 have failed, so the same nodes are visited and the same solutions found.
-The trail entries an early stop leaves are taken back by the next undo,
-as after a domain wipe-out.
 
 Each labelling step is the binary choice of CLP(FD) labelling: a node
 labels its variable x with the least value v left, its fixpoint's lo of
@@ -151,8 +149,8 @@ Pareto cut rejects it once lo is in the frontier.  Labelling reaches lo
 at once, since lo is a solution, which no propagation raises, so those
 solvers keep their nodes.
 
-A CRProblem is immutable after build; each solve call builds its own box
-and trail, so concurrent solves on one problem are safe.
+A CRProblem is immutable after build; each solve call builds its own box,
+so concurrent solves on one problem are safe.
 """
 
 from __future__ import annotations
@@ -386,8 +384,8 @@ def _containing(sigs: Iterable[tuple[int, ...]], n: int) -> list[list[int]]:
 
 
 class _Box:
-    """The bounds of one search, with the sums that propagation reads, the
-    rule lists that queue it and the trail that puts lo back.
+    """The bounds of one search, with the sums that propagation reads and
+    the rule lists that queue it.
 
     ``lo`` and ``hi`` are the bounds.  The distinct V-signatures are
     numbered in order of first occurrence: ``vsig_ids[i]`` lists the
@@ -410,22 +408,17 @@ class _Box:
     equal, and each move of a bound adds its change to exactly the sums
     whose fresh value it moves: a move of lo_j to the sums of the
     V-signatures that mention j, a move of hi_j to those of the
-    F-signatures that mention j.
-    Propagation only raises lo, so hi, and with it every F-sum, moves
-    only where the search labels a variable, setting hi_j to the label,
-    and where it puts hi_j back to the bound: when the node closes or
-    gives way to its right branch.  A trail entry ``(j, lo_j)`` holds a
-    value of lo_j to put back: undo restores it and subtracts the
-    difference, the current lo_j less the old, from the sums of the
-    V-signatures that mention j.  Undo pops the trail down
-    to a mark, latest entry first, so each variable with an entry above
-    the mark gets back the value of its earliest such entry.
+    F-signatures that mention j; the search writes lo and its V-sums
+    only together, from a node's copy of both.  Propagation only raises
+    lo, so hi, and with it every F-sum, moves only where the search
+    labels a variable, setting hi_j to the label, and where it puts hi_j
+    back to the bound: when the node closes or gives way to its right
+    branch.
     """
 
     def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
         self.lo = lo = list(lo)
         self.hi = hi = list(hi)
-        self.trail: list[tuple[int, int]] = []
         vids: dict[tuple[int, ...], int] = {}
         fids: dict[tuple[int, ...], int] = {}
         self.vsig_ids = [[vids.setdefault(sig, len(vids)) for sig in vs] for vs in p.verifying_sigs]
@@ -478,16 +471,16 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
     j, so the child queues ``touched_by[j]`` and reaches the same least
     fixpoint as a start with every rule queued.  A right branch raises
     only lo_j above its node's fixpoint, where hi_j is the bound already,
-    so it queues ``raised_by[j]``.  On failure, a domain
-    wipe-out or an early stop, the box is left as it was at the failing
-    rule; the search undoes it.
+    so it queues ``raised_by[j]``.  On failure, a domain wipe-out or an
+    early stop, the box is left as it was at the failing rule, its sums
+    still those of its bounds.
     """
     # Nothing queued, nothing moved: skip building the worklist, as at
     # every node whose label no rule's signatures mention.
     if not queue:
         return True
     lo, hi, sums, fsums = box.lo, box.hi, box.sums, box.fsums
-    vread, fread, trail = box.vread, box.fread, box.trail
+    vread, fread = box.vread, box.fread
     headroom = box.headroom
     queue = deque(queue)
     queued = set(queue)
@@ -506,7 +499,6 @@ def _propagate_box(box: _Box, queue: Iterable[int]) -> bool:
             if floor > hi[i] or d > headroom:
                 return False
             headroom -= d
-            trail.append((i, lo[i]))
             lo[i] = floor
             for s in box.containing[i]:
                 sums[s] += d
@@ -544,42 +536,31 @@ def _entailment(p: CRProblem, box: _Box) -> Callable[[int], list[int] | None]:
     """The test of a node at depth d: the caps of ``box`` when the box
     [lo, cap] entails every rule, else None (see the module docstring).
     It tests only the rules with an F-signature whose signatures mention
-    a variable at d or past it, the one that failed last at d first, and
-    builds those lists on its first call.  It tests [lo, hi] first, which
-    needs no caps.  When that fails on a rule that holds at lo, where its
-    V-sums are least, it computes the caps, building on first use the
-    list of rules that cap some variable, and tests again if a cap fell."""
+    a variable at d or past it, the one that failed last at d first.  On
+    its first call it builds those lists and the list of the rules that
+    cap some variable, with the variables each caps."""
     vs, fs = p.verifying_sigs, p.falsifying_sigs
     lo, hi, sums, fsums, vread, fread = box.lo, box.hi, box.sums, box.fsums, box.vread, box.fread
     cap = hi.copy()
+    entails = _entails(p, lo, cap)
     tested: list[list[int]] = []
-    capping: list[tuple[int, set[int]]] | None = None
-    entails = at_lo = None
+    capping: list[tuple[int, set[int]]] = []
 
     def entailed(d: int) -> list[int] | None:
-        nonlocal capping, entails, at_lo
         if not tested:
-            entails, at_lo = _entails(p, lo, cap), partial(map, lo.__getitem__)
             touching: set[int] = set()
             for j in reversed(range(p.n)):
                 touching.update(box.touched_by[j])
                 tested.append([i for i in touching if fs[i]])
             tested.reverse()
+            capping.extend((r, js) for r, v in enumerate(vs) if fs[r] and (js := set(v[0]).intersection(*v)))
         cap[:] = hi
-        rules = tested[d]
-        if entails(rules):
-            return cap
-        i = rules[0]
-        if capping == [] or lo[i] + min(map(sum, map(at_lo, fs[i]))) <= min(vread[i](sums)):
-            return None
-        if capping is None:
-            capping = [(r, js) for r, v in enumerate(vs) if fs[r] and (js := set(v[0]).intersection(*v))]
         for r, js in capping:
             slack = hi[r] - 1 + min(fread[r](fsums)) - min(vread[r](sums))
             for j in js:
                 if lo[j] + slack < cap[j]:
                     cap[j] = lo[j] + slack
-        return cap if cap != hi and entails(rules) else None
+        return cap if entails(tested[d]) else None
 
     return entailed
 
@@ -612,56 +593,51 @@ def _search(
     Every node, the root, a label and a right branch alike, is entered by
     one piece of code: it tests the deadline, stores the headroom
     ceiling() - sum(lo) on the box, propagates from the rules queued and
-    asks the cut on the fixpoint.  A node that holds pushes a trail entry
-    for lo_idx and then its mark, and labels x_idx = lo_idx: it sets
-    hi_idx to lo_idx and queues the rules of ``touched_by[idx]``.
+    asks the cut on the fixpoint.  A node that holds pushes copies of lo
+    and of the V-sums onto the stack of open nodes and labels x_idx =
+    lo_idx: it sets hi_idx to lo_idx and queues the rules of
+    ``touched_by[idx]``.
 
     After a failed entry or a solution, the search goes back to the
-    deepest label, undoes to its mark and reads the label's value v from
-    hi_idx.  After a failed entry, of any kind, it closes the node (puts
-    hi_idx back to bound and pops the mark), raises lo_idx to v + 1 and
-    enters that right branch with the rules of ``raised_by[idx]`` queued,
-    since against the node's fixpoint only lo_idx rose.  After a solution
-    or a closed node, it labels v + 1 directly and asks the ceiling and
-    the cut on the raised lo; a rejection closes the node, and so does
-    v = bound either way.
+    deepest open node, reads the label's value v from hi_idx and raises
+    lo_idx to v + 1 in the node's copy, with the copy's sums over
+    ``containing[idx]``.  After a failed entry, of any kind, it closes the
+    node (puts hi_idx back to bound and pops the copy), writes the copy
+    into the box and enters that right branch with the rules of
+    ``raised_by[idx]`` queued, since against the node's fixpoint only
+    lo_idx rose.  After a solution or a closed node, it asks the ceiling
+    and the cut on the copy, then writes the copy into the box and labels
+    v + 1 directly; a rejection closes the node, and so does v = bound
+    either way.
 
-    One box serves the whole search, and the open nodes form a stack of
-    marks: the node at depth idx labels variable idx.  Labels move lo_idx
-    and hi_idx off the trail, so undoing to the mark takes back only the
-    last child's propagation, which never moves a labelled variable; no
-    bounds are copied per child.  A right branch moves lo_idx off the
-    trail too, after its node's mark is popped, so what it pushes stays
-    on the trail until the parent's undo.  Propagation never moves hi, so
-    every variable not labelled has hi = bound, and the parent's undo
-    pops every entry above the parent's mark, the node's own entries for
-    lo_idx among them, which leaves the parent's fixpoint."""
+    One box serves the whole search, and the node at depth idx of the
+    stack labels variable idx.  Its copy holds its fixpoint's lo, with
+    lo_idx at its current label, and the V-sums of that lo.  Propagation
+    never moves hi, and every node above it closed, putting hi back to
+    bound past idx, so writing the copy into the box in place gives the
+    node's label state whatever the nodes below it left there."""
     n = p.n
     bound = p.bound
     box = _Box(p, [0] * n, [bound] * n)
-    lo, hi, sums, fsums, trail = box.lo, box.hi, box.sums, box.fsums, box.trail
+    lo, hi, sums, fsums = box.lo, box.hi, box.sums, box.fsums
     containing, fcontaining = box.containing, box.fcontaining
     raised_by, touched_by = box.raised_by, box.touched_by
-    marks: list[int] = []
+    nodes: list[tuple[list[int], list[int]]] = []
     queue: Iterable[int] = range(n)
     headroom = box.headroom
     # Under a cut or a ceiling the search runs no entailment test.
     entailed = _entailment(p, box) if cut is None and ceiling is None else None
     while True:
-        # Enter a node: the root, a label or a right branch.  The deadline
-        # test is _check_deadline inlined, since it runs at every node.
-        if deadline is not None and perf_counter() > deadline:
-            raise SolveTimeout
+        # Enter a node: the root, a label or a right branch.
+        _check_deadline(deadline)
         if ceiling is not None:
             headroom = box.headroom = ceiling() - sum(lo)
         failed = headroom < 0 or not _propagate_box(box, queue) or (cut is not None and cut(lo))
         if not failed:
-            idx = len(marks)
+            idx = len(nodes)
             if idx < n and (entailed is None or (cap := entailed(idx)) is None):
-                # Label x_idx = lo_idx; the parent's undo puts lo_idx back
-                # through the entry below the mark.
-                trail.append((idx, lo[idx]))
-                marks.append(len(trail))
+                # Push the node's copy and label x_idx = lo_idx.
+                nodes.append((lo.copy(), sums.copy()))
                 d = lo[idx] - hi[idx]
                 hi[idx] = lo[idx]
                 for t in fcontaining[idx]:
@@ -678,36 +654,33 @@ def _search(
                 for v in vectors:
                     yield v
                     yield from islice(vectors, 1023)
-                    if deadline is not None and perf_counter() > deadline:
-                        raise SolveTimeout
+                    _check_deadline(deadline)
         # Go back to the deepest label, x_idx = v with v = hi_idx.
-        while marks:
-            idx = len(marks) - 1
-            mark = marks[idx]
-            while len(trail) > mark:
-                j, lo_j = trail.pop()
-                d = lo[j] - lo_j
-                lo[j] = lo_j
-                for s in containing[j]:
-                    sums[s] -= d
+        while nodes:
+            idx = len(nodes) - 1
+            node_lo, node_sums = nodes[idx]
             val = hi[idx] + 1
             if val <= bound:
-                # Both moves raise lo_idx from v to v + 1.
-                lo[idx] = val
+                # Both moves raise lo_idx from v to v + 1, in the copy.
+                node_lo[idx] = val
                 for s in containing[idx]:
-                    sums[s] += 1
-                if not failed:
-                    # Label v + 1.  A larger value only raises the bounds,
-                    # so a cut here is final; so is a sum of lo above the
-                    # ceiling.
-                    hi[idx] = val
-                    for t in fcontaining[idx]:
-                        fsums[t] += 1
-                    if (ceiling is None or ceiling() >= sum(lo)) and (cut is None or not cut(lo)):
+                    node_sums[s] += 1
+                # A larger value only raises the bounds, so a cut of a
+                # direct label is final; so is a sum of lo above the ceiling.
+                if failed or (
+                    (ceiling is None or ceiling() >= sum(node_lo)) and (cut is None or not cut(node_lo))
+                ):
+                    lo[:] = node_lo
+                    sums[:] = node_sums
+                    if not failed:
+                        # Label v + 1.
+                        hi[idx] = val
+                        for t in fcontaining[idx]:
+                            fsums[t] += 1
                         queue = touched_by[idx]
                         break
-            # Close the node; the parent's undo puts lo_idx back.
-            marks.pop()
+            # Close the node.
+            nodes.pop()
             d = bound - hi[idx]
             hi[idx] = bound
             for t in fcontaining[idx]:
