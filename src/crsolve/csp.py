@@ -86,21 +86,19 @@ have failed, so the same nodes are visited and the same solutions found.
 Each labelling step is the binary choice of CLP(FD) labelling: a node
 labels its variable x with the least value v left, its fixpoint's lo of
 x, and the other branch is x >= v + 1, as CLP(FD) propagates x != v.
-After an entry below the label x = v fails, by a domain wipe-out, the
-ceiling's early stop or the cut, the search enters that right branch as
-an ordinary node: propagated, asked the cut, then labelled in turn.
-After a solution, or a subtree that closed, it labels v + 1 directly.
-That is sound.  The box x >= v + 1 under the node holds every later
-value and every solution under them.  Its least fixpoint is below all of
-those solutions, so when propagating the box fails, no later value holds
-a solution; that failure is one more failed entry, below the label of
-the variable before x.  A cut or ceiling that rejects a box's lo rejects
-every vector above it, so it is final for all the later values too, and
-so is one that rejects the lo of a direct label.  When the right branch
-holds, its fixpoint is the least above the later values' boxes, and its
-lo of x is the first value left.  Right branches only drop values
-without solutions and tighten bounds, so the same solutions come out in
-the same lexicographic order.
+Every return to a label enters its right branch, whatever sent the
+search back: a failed entry, a solution or a subtree that closed.  The
+right branch is an ordinary node, propagated, asked the cut, then
+labelled in turn.  The box x >= v + 1 under the node holds every later
+value and every solution under them, and its least fixpoint is below all
+of those solutions.  So when propagating it fails, no later value holds
+a solution, and when it holds, its lo of x is the first value left.  A
+cut or ceiling that rejects a box's lo rejects every vector above it, so
+a rejection is final for every later value.  The search asks the cut on
+the raised lo before it enters the branch, and the entry's headroom
+stops a branch whose sum(lo) passes the ceiling before it propagates.
+Right branches only drop values without wanted solutions and tighten
+bounds, so the same solutions come out in the same lexicographic order.
 
 A search with neither a cut nor a ceiling, mode ``all``, stops labelling
 where a node's box holds nothing but solutions.  Rule i is entailed on
@@ -141,8 +139,8 @@ solution, and every solution under the node lies in [lo, cap], so the
 node's solutions are the product of the ranges [lo_j, cap_j].
 ``itertools.product`` runs it with the labelled prefix fixed and the rest
 ascending, the last component fastest: the lexicographic order in which
-labelling meets them.  The search then goes back as after a closed
-subtree.  Under a cut or a ceiling the test is skipped.  There lo is the
+labelling meets them.  The search then goes back to the deepest label.
+Under a cut or a ceiling the test is skipped.  There lo is the
 only wanted vector of an entailed box: every other one lies above lo, so
 its sum is larger, which the ceiling excludes once lo is found, and the
 Pareto cut rejects it once lo is in the frontier.  Labelling reaches lo
@@ -412,8 +410,7 @@ class _Box:
     only together, from a node's copy of both.  Propagation only raises
     lo, so hi, and with it every F-sum, moves only where the search
     labels a variable, setting hi_j to the label, and where it puts hi_j
-    back to the bound: when the node closes or gives way to its right
-    branch.
+    back to the bound, when the search goes back to that label.
     """
 
     def __init__(self, p: CRProblem, lo: Sequence[int], hi: Sequence[int]):
@@ -598,24 +595,24 @@ def _search(
     lo_idx: it sets hi_idx to lo_idx and queues the rules of
     ``touched_by[idx]``.
 
-    After a failed entry or a solution, the search goes back to the
-    deepest open node, reads the label's value v from hi_idx and raises
-    lo_idx to v + 1 in the node's copy, with the copy's sums over
-    ``containing[idx]``.  After a failed entry, of any kind, it closes the
-    node (puts hi_idx back to bound and pops the copy), writes the copy
-    into the box and enters that right branch with the rules of
+    Every return to a label enters its right branch.  After a failed
+    entry, a solution or an entailed box alike, the search pops the
+    deepest open node's copy, reads the label's value v from hi_idx and
+    puts hi_idx back to bound.  If v < bound, it raises lo_idx to v + 1 in
+    the popped copy, with the copy's sums over ``containing[idx]``, and
+    unless the cut rejects that lo, it writes the copy into the box and
+    enters the right branch x_idx >= v + 1 with the rules of
     ``raised_by[idx]`` queued, since against the node's fixpoint only
-    lo_idx rose.  After a solution or a closed node, it asks the ceiling
-    and the cut on the copy, then writes the copy into the box and labels
-    v + 1 directly; a rejection closes the node, and so does v = bound
-    either way.
+    lo_idx rose.  Otherwise it goes back to the next label.  The ceiling
+    needs no test here: the entry's headroom test stops a right branch
+    whose sum(lo) is above it before it propagates.
 
     One box serves the whole search, and the node at depth idx of the
-    stack labels variable idx.  Its copy holds its fixpoint's lo, with
-    lo_idx at its current label, and the V-sums of that lo.  Propagation
-    never moves hi, and every node above it closed, putting hi back to
-    bound past idx, so writing the copy into the box in place gives the
-    node's label state whatever the nodes below it left there."""
+    stack labels variable idx.  Its copy holds its fixpoint's lo, whose
+    lo_idx is the label, and the V-sums of that lo.  Propagation never
+    moves hi, and every node above it closed, putting hi back to bound
+    past idx, so writing the raised copy into the box in place gives the
+    right branch's bounds whatever the nodes below it left there."""
     n = p.n
     bound = p.bound
     box = _Box(p, [0] * n, [bound] * n)
@@ -632,8 +629,7 @@ def _search(
         _check_deadline(deadline)
         if ceiling is not None:
             headroom = box.headroom = ceiling() - sum(lo)
-        failed = headroom < 0 or not _propagate_box(box, queue) or (cut is not None and cut(lo))
-        if not failed:
+        if headroom >= 0 and _propagate_box(box, queue) and (cut is None or not cut(lo)):
             idx = len(nodes)
             if idx < n and (entailed is None or (cap := entailed(idx)) is None):
                 # Push the node's copy and label x_idx = lo_idx.
@@ -655,43 +651,26 @@ def _search(
                     yield v
                     yield from islice(vectors, 1023)
                     _check_deadline(deadline)
-        # Go back to the deepest label, x_idx = v with v = hi_idx.
+        # Go back to the deepest label, x_idx = v with v = hi_idx: pop its
+        # copy, put hi_idx back to the bound and, if v < bound, enter the
+        # right branch x_idx >= v + 1, unless the cut rejects its lo.
         while nodes:
             idx = len(nodes) - 1
-            node_lo, node_sums = nodes[idx]
-            val = hi[idx] + 1
-            if val <= bound:
-                # Both moves raise lo_idx from v to v + 1, in the copy.
-                node_lo[idx] = val
-                for s in containing[idx]:
-                    node_sums[s] += 1
-                # A larger value only raises the bounds, so a cut of a
-                # direct label is final; so is a sum of lo above the ceiling.
-                if failed or (
-                    (ceiling is None or ceiling() >= sum(node_lo)) and (cut is None or not cut(node_lo))
-                ):
-                    lo[:] = node_lo
-                    sums[:] = node_sums
-                    if not failed:
-                        # Label v + 1.
-                        hi[idx] = val
-                        for t in fcontaining[idx]:
-                            fsums[t] += 1
-                        queue = touched_by[idx]
-                        break
-            # Close the node.
-            nodes.pop()
+            node_lo, node_sums = nodes.pop()
             d = bound - hi[idx]
             hi[idx] = bound
             for t in fcontaining[idx]:
                 fsums[t] += d
-            if failed and val <= bound:
-                # Enter the right branch x_idx >= v + 1, which holds every
-                # later value; against the node's fixpoint only lo_idx rose.
-                queue = raised_by[idx]
-                break
-            # A closed node is no failed entry: its parent labels directly.
-            failed = False
+            if d:
+                node_lo[idx] += 1
+                for s in containing[idx]:
+                    node_sums[s] += 1
+                if cut is None or not cut(node_lo):
+                    # Against the node's fixpoint only lo_idx rose.
+                    lo[:] = node_lo
+                    sums[:] = node_sums
+                    queue = raised_by[idx]
+                    break
         else:
             return
 
@@ -767,15 +746,14 @@ def pareto_min(
     # lexicographically, so the search meets every dominator of u before
     # u: each dominator was yielded into the frontier or dropped with a
     # node whose lo the cut found above a frontier vector, which then lies
-    # below u too.  (A right branch, or a label whose rejection closes its
-    # node, drops later values as well, but all of them lie above the lo
-    # the cut rejected, so they are dominated too.)  So u is
-    # Pareto-minimal exactly when the cut lets it through, the solutions
-    # yielded are the frontier, and each is final: the search can stop at
-    # the limit.  It runs to one solution at least, which tells a feasible
-    # box from an infeasible one.
+    # below u too.  (A rejected right branch drops later values as well,
+    # but all of them lie above the lo the cut rejected, so they are
+    # dominated too.)  So u is Pareto-minimal exactly when the cut lets it
+    # through, the solutions yielded are the frontier, and each is final:
+    # the search can stop at the limit.  It runs to one solution at least,
+    # which tells a feasible box from an infeasible one.
     frontier: list[KappaVector] = []
-    search = _search(p, lambda lo: _dominated(frontier, lo), deadline)
+    search = _search(p, partial(_dominated, frontier), deadline)
     for v in islice(search, None if limit is None else max(limit, 1)):
         frontier.append(v)
     if not frontier:
